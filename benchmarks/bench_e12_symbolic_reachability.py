@@ -14,8 +14,8 @@ import pytest
 
 from repro import obs
 from repro.engine import explore, symbolic_variable_bounds
-from repro.engine.equivalence import assert_equivalent
 from repro.engine.symbolic import symbolic_reachable
+from repro.fuzz import battery_texts, compare
 from repro.sdf import SdfBuilder, weave_sdf
 
 #: the explicit-BFS state budget the headline test works against; the
@@ -76,7 +76,7 @@ class TestBeyondExplicitReach:
 
     def test_mesh_equivalence_and_reach(self):
         small = mesh(3, 3)
-        assert_equivalent(small, max_states=20_000)
+        assert compare(small, battery_texts(small), 20_000).agree
         large = mesh(3, 4, capacity=2)
         reachable = symbolic_reachable(large)
         assert not reachable.truncated

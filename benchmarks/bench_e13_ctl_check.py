@@ -19,7 +19,7 @@ import pytest
 from repro import obs
 from repro.engine import explore
 from repro.engine.ctl import check, check_space
-from repro.engine.properties import Verdict
+from repro.engine.ctl import Verdict
 from repro.sdf import SdfBuilder, weave_sdf
 
 #: explicit budget the soundness pin works against (as in bench_e12)
@@ -113,11 +113,9 @@ def bench_explicit_unknown_chain12(benchmark):
 def bench_symbolic_battery_chain8(benchmark):
     """A ten-property battery on one warm kernel (chain8c2, 2,187
     states) — the per-property cost once the relation is compiled."""
-    from repro.engine.equivalence import PROPERTY_BATTERY
+    from repro.fuzz import battery_texts
     model = chain(8)
-    events = sorted(model.events)
-    texts = [template.format(e0=events[0], e1=events[1])
-             for template in PROPERTY_BATTERY]
+    texts = battery_texts(model)
     check(model, texts[0], strategy="symbolic")  # warm the kernel
 
     def run():

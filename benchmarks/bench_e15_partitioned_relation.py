@@ -118,11 +118,10 @@ class TestPartitionedBeyondMonolithic:
     def test_modes_agree_on_small_torus(self):
         """Both relation layouts denote the same system (the corpus-wide
         sweep lives in tests/engine; this pins the bench family)."""
-        from repro.engine.equivalence import assert_equivalent
-        assert_equivalent(torus(3, 3), max_states=5_000,
-                          relation_mode="partitioned")
-        assert_equivalent(torus(3, 3), max_states=5_000,
-                          relation_mode="monolithic")
+        from repro.fuzz import battery_texts, compare
+        model = torus(3, 3)
+        comparison = compare(model, battery_texts(model), 5_000)
+        assert comparison.agree, [str(m) for m in comparison.mismatches]
 
 
 @pytest.mark.benchmark(group="e15-partitioned")

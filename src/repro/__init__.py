@@ -63,21 +63,20 @@ Layers (Fig. 1 of the paper):
 Choosing an entry point
 =======================
 
-The workbench subsumes the historical per-front-end incantations; the
-old names remain as delegating shims that emit ``DeprecationWarning``.
+The workbench subsumes the per-front-end incantations:
 
 ===========================================  ===================================
-old call                                     workbench equivalent
+library call                                 workbench equivalent
 ===========================================  ===================================
 ``parse_sigpml(text)`` +
-``build_execution_model(model)``             ``load(text)`` / ``wb.add(text)``
-``build_execution_model(model, variant)``    ``load(src, place_variant=...)``
-``Simulator(model, AsapPolicy()).run(n)``    ``wb.simulate(name, policy="asap",
+``weave_sdf(model)``                         ``load(text)`` / ``wb.add(text)``
+``weave_sdf(model, variant)``                ``load(src, place_variant=...)``
+``simulate_model(model, AsapPolicy(), n)``   ``wb.simulate(name, policy="asap",
                                              steps=n)``
 ``explore(model, max_states=n)``             ``wb.explore(name, max_states=n)``
 ``properties.always/never/...(space, p)``    ``wb.check(name, "AG !deadlock")``
                                              / ``CheckSpec(name, prop)``
-``run_campaign(model, steps, watch)``        ``wb.campaign(name, steps=s,
+``campaign(model, steps, watch)``            ``wb.campaign(name, steps=s,
                                              watch=[...])``
 ``analyze(app)``                             ``wb.analyze(name)``
 ``deploy(model, app, platform, alloc)``      ``wb.add(DeploymentSpec(...))``
@@ -89,7 +88,7 @@ a fresh process per incoming request         ``repro serve`` (resident daemon)
 shelling out ``repro batch`` per client      ``repro submit DOC --server URL``
 ===========================================  ===================================
 
-Library-level building blocks that are *not* deprecated: the engine
+The library-level building blocks stay first-class: the engine
 core (:func:`repro.engine.simulate_model`, :func:`repro.engine.explore`,
 :func:`repro.engine.campaign.campaign`), the SDF weaver
 (:func:`repro.sdf.weave_sdf`) and the static SDF theory
@@ -150,7 +149,7 @@ Locally, the tier-1 suite and the benchmarks run straight off the
 source tree — no install required::
 
     PYTHONPATH=src python -m pytest -q        # 800+ tests, ~10 s
-    PYTHONPATH=src python -m repro selftest   # symbolic/explicit cross-check
+    PYTHONPATH=src python -m repro selftest   # differential oracle smoke
     python benchmarks/run_all.py              # smoke benches -> BENCH_engine.json
 
 CI (``.github/workflows/ci.yml``) runs the same three layers, plus

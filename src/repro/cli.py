@@ -52,12 +52,13 @@ the workbench facilities of the paper's tooling:
   directly on ``explore``/``check``/``batch``/``fuzz``. Telemetry is
   out-of-band: result documents are byte-identical with tracing on or
   off (see :mod:`repro.obs`);
-* ``selftest`` — cross-check the symbolic and explicit exploration
-  strategies on three bundled models, then prove the artifact store
-  round-trip (cold run == warm run, byte for byte), the serve
-  round-trip (served == direct, byte for byte) and the static-analysis
-  contract (bundled models lint clean, every lint claim replays on the
-  engine, a seeded-bad model is caught) — the CI smoke step.
+* ``selftest`` — run the differential oracle (explicit vs symbolic
+  under both relation layouts, plus the property battery) on three
+  bundled models, then prove the artifact store round-trip (cold run
+  == warm run, byte for byte), the serve round-trip (served == direct,
+  byte for byte) and the static-analysis contract (bundled models lint
+  clean, every lint claim replays on the engine, a seeded-bad model is
+  caught) — the CI smoke step.
 
 Every subcommand takes ``--json`` to emit the uniform
 :class:`~repro.workbench.RunResult` document instead of the text
@@ -676,26 +677,14 @@ def _selftest_store_roundtrip(handles) -> dict:
             "agree": not mismatches}
 
 
-def _selftest_relation_modes(handles) -> dict:
-    """Symbolic-core phase of the selftest: explore every bundled model
-    symbolically under both relation layouts and demand byte-identical
-    serialized spaces; then force a full variable reorder on the
-    compiled kernel and re-check that verdicts survive the
-    renumbering."""
-    from repro.engine import explore
+def _selftest_reorder(handles) -> dict:
+    """Symbolic-core phase of the selftest: force a full variable
+    reorder on every bundled model's compiled kernel and re-check that
+    verdicts survive the renumbering."""
     from repro.engine.ctl import check
     mismatches = []
     for handle in handles:
         model = handle.execution_model
-        spaces = {}
-        for mode in ("partitioned", "monolithic"):
-            model.clear_caches()
-            spaces[mode] = explore(model, max_states=5_000,
-                                   strategy="symbolic",
-                                   relation_mode=mode).to_json()
-        if spaces["partitioned"] != spaces["monolithic"]:
-            mismatches.append(
-                f"{handle.name}: relation modes serialize differently")
         model.clear_caches()
         before = check(model, "AG !deadlock", strategy="symbolic").verdict
         model.kernel.transition_system(model).bdd.reorder()
@@ -785,47 +774,45 @@ def _selftest_lint(handles) -> dict:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    """Cross-check symbolic vs explicit exploration on bundled models."""
-    from repro.engine.equivalence import cross_check
+    """Run the differential oracle (symbolic vs explicit, both relation
+    layouts, the property battery) and the subsystem round-trips on
+    bundled models."""
+    from repro.fuzz import battery_texts, compare
     handles = _selftest_models()
-    reports = []
-    for handle in handles:
-        report = cross_check(handle.execution_model,
-                             max_states=args.max_states)
-        report["model"] = handle.name
-        reports.append(report)
-    modes_report = _selftest_relation_modes(handles)
+    comparisons = [compare(handle, battery_texts(handle.execution_model),
+                           args.max_states) for handle in handles]
+    reorder_report = _selftest_reorder(handles)
     store_report = _selftest_store_roundtrip(handles)
     serve_report = _selftest_serve(handles)
     lint_report = _selftest_lint(handles)
-    ok = all(report["agree"] for report in reports) \
-        and modes_report["agree"] and store_report["agree"] \
+    ok = all(comparison.agree for comparison in comparisons) \
+        and reorder_report["agree"] and store_report["agree"] \
         and serve_report["agree"] and lint_report["agree"]
     if args.json:
         print(json.dumps({"kind": "selftest", "ok": ok,
                           "version": repro.__version__,
-                          "reports": reports,
-                          "relation_modes": modes_report,
+                          "reports": [comparison.to_doc()
+                                      for comparison in comparisons],
+                          "reorder": reorder_report,
                           "store": store_report,
                           "serve": serve_report,
                           "lint": lint_report},
                          indent=2, sort_keys=True))
         return 0 if ok else 1
-    print(f"repro {repro.__version__} selftest — symbolic vs explicit "
-          f"exploration")
-    for report in reports:
-        verdict = "OK" if report["agree"] else "MISMATCH"
-        checked = len(report.get("properties") or [])
-        line = (f"  {report['model']:<18} {report['states']:>6} state(s) "
-                f"{report['transitions']:>6} transition(s) "
-                f"{checked:>2} properties  {verdict}")
+    print(f"repro {repro.__version__} selftest — differential oracle, "
+          f"symbolic vs explicit")
+    for comparison in comparisons:
+        verdict = "OK" if comparison.agree else "MISMATCH"
+        line = (f"  {comparison.model:<18} {comparison.states:>6} state(s) "
+                f"{comparison.transitions:>6} transition(s) "
+                f"{len(comparison.properties):>2} properties  {verdict}")
         print(line)
-        for mismatch in report["mismatches"]:
+        for mismatch in comparison.mismatches:
             print(f"    - {mismatch}")
-    modes_verdict = "OK" if modes_report["agree"] else "MISMATCH"
-    print(f"  relation modes     {modes_report['models']:>6} model(s) "
-          f"partitioned==monolithic, reorder-stable  {modes_verdict}")
-    for mismatch in modes_report["mismatches"]:
+    reorder_verdict = "OK" if reorder_report["agree"] else "MISMATCH"
+    print(f"  forced reorder     {reorder_report['models']:>6} model(s) "
+          f"verdicts reorder-stable  {reorder_verdict}")
+    for mismatch in reorder_report["mismatches"]:
         print(f"    - {mismatch}")
     store_verdict = "OK" if store_report["agree"] else "MISMATCH"
     print(f"  artifact store     {store_report['specs']:>6} spec(s) "
@@ -1127,8 +1114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = subparsers.add_parser(
         "selftest",
-        help="cross-check the symbolic and explicit exploration "
-             "strategies on three bundled models")
+        help="run the explicit-vs-symbolic differential oracle on "
+             "three bundled models")
     selftest.add_argument("--max-states", type=int, default=20_000)
     selftest.add_argument("--json", action="store_true",
                           help="emit the selftest report as JSON")

@@ -4,8 +4,9 @@ An :class:`ExecutionModel` — the instantiated constraints plus the event
 set of one specific model — *configures* this engine; the engine itself
 is DSL-agnostic. Two drivers are provided:
 
-* :class:`~repro.engine.simulator.Simulator` — step-by-step simulation
-  under a scheduling policy, producing a :class:`~repro.engine.trace.Trace`;
+* :func:`~repro.engine.simulator.simulate_model` — step-by-step
+  simulation under a scheduling policy, producing a
+  :class:`~repro.engine.trace.Trace`;
 * :func:`~repro.engine.explorer.explore` — exhaustive exploration of the
   scheduling state space, producing a
   :class:`~repro.engine.statespace.StateSpace` with quantitative metrics
@@ -56,8 +57,8 @@ Choosing a strategy — exploration and property checking
 checker :func:`~repro.engine.ctl.check` both take
 ``strategy="explicit" | "symbolic" | "auto"``. Exploration produces
 byte-identical state spaces either way, and property checks return
-identical verdicts *and* identical witness traces (the
-:mod:`repro.engine.equivalence` harness asserts both corpus-wide, and
+identical verdicts *and* identical witness traces (the differential
+oracle :func:`repro.fuzz.oracle.compare` asserts both corpus-wide, and
 ``repro selftest`` re-checks them on demand) — so the choice is about
 cost, and about what a bounded budget can soundly conclude:
 
@@ -67,7 +68,7 @@ cost, and about what a bounded budget can soundly conclude:
     one-shot explorations, and models with (locally) unbounded counters
     such as an unbounded CCSL precedence, which cannot be finitely
     encoded. Property checks on an explicit space are *three-valued*
-    (:class:`~repro.engine.properties.Verdict`): when the
+    (:class:`~repro.engine.ctl.Verdict`): when the
     ``max_states``/``max_depth`` budget truncates the exploration, a
     check returns ``HOLDS``/``FAILS`` only if the explored region alone
     proves it (e.g. a safety violation was found) and ``UNKNOWN``
@@ -176,7 +177,7 @@ from repro.engine.policies import (
     SchedulingPolicy,
 )
 from repro.engine.trace import Trace
-from repro.engine.simulator import SimulationResult, Simulator, simulate_model
+from repro.engine.simulator import SimulationResult, simulate_model
 from repro.engine.explorer import explore
 from repro.engine.statespace import StateSpace
 from repro.engine.analysis import (
@@ -184,21 +185,17 @@ from repro.engine.analysis import (
     max_cycle_mean_throughput,
     parallelism_profile,
     simulated_throughput,
-    symbolic_check_variable_bound,
-    symbolic_deadlock_free,
-    symbolic_event_liveness,
     symbolic_variable_bounds,
     variable_bounds,
 )
-from repro.engine.equivalence import assert_equivalent, cross_check
 from repro.engine.ctl import (
     CheckResult,
+    Verdict,
     check,
     check_space,
     parse_property,
     replay_steps,
 )
-from repro.engine.properties import Verdict
 from repro.engine.symbolic import (
     CompiledStateView,
     ReachableSet,
@@ -207,23 +204,21 @@ from repro.engine.symbolic import (
     symbolic_reachable,
 )
 from repro.engine import properties
-from repro.engine.campaign import format_campaign, run_campaign
+from repro.engine.campaign import format_campaign
 
 __all__ = [
-    "run_campaign", "format_campaign",
+    "format_campaign",
     "ExecutionModel", "SymbolicKernel",
     "SchedulingPolicy", "RandomPolicy", "AsapPolicy", "MinimalPolicy",
     "PriorityPolicy", "ReplayPolicy",
     "Trace",
-    "Simulator", "SimulationResult", "simulate_model",
+    "SimulationResult", "simulate_model",
     "explore", "StateSpace",
     "event_liveness", "parallelism_profile", "variable_bounds",
     "max_cycle_mean_throughput", "simulated_throughput",
     "symbolic_reachable", "ReachableSet", "TransitionSystem",
     "CompiledStateView", "compile_transition_system",
-    "symbolic_deadlock_free", "symbolic_event_liveness",
-    "symbolic_variable_bounds", "symbolic_check_variable_bound",
-    "assert_equivalent", "cross_check",
+    "symbolic_variable_bounds",
     "properties",
     "check", "check_space", "parse_property", "replay_steps",
     "CheckResult", "Verdict",

@@ -4,11 +4,14 @@ Includes the steady-state throughput computation (maximum cycle mean,
 Karp's algorithm) used to compare deployments in the PAM study, plus
 liveness/boundedness helpers.
 
-The ``symbolic_*`` family answers invariant questions — deadlock
-freedom, event liveness, variable/buffer bounds — directly on the
-reachable-set BDD of :mod:`repro.engine.symbolic`, without ever
-concretizing a state graph: the cost scales with BDD size, not with
-the number of reachable states.
+:func:`symbolic_variable_bounds` computes exact variable/buffer bounds
+on the reachable-set BDD of :mod:`repro.engine.symbolic`, without ever
+concretizing a state graph: the cost scales with BDD size, not with the
+number of reachable states. Symbolic deadlock freedom and event
+liveness are methods of the
+:func:`~repro.engine.symbolic.symbolic_reachable` result; a single
+bound is the CTL property ``AG var(label.name) <= k``, checked with
+``strategy="symbolic"``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import networkx as nx
 
 from repro.engine.execution_model import ExecutionModel
 from repro.engine.policies import AsapPolicy, SchedulingPolicy
-from repro.errors import EngineError
 from repro.engine.simulator import simulate_model
 from repro.engine.statespace import StateSpace
 from repro.moccml.semantics.automata_rt import AutomatonRuntime
@@ -189,28 +191,6 @@ def occurrence_latency(trace, cause: str, effect: str) -> list[int]:
     return latencies
 
 
-def symbolic_deadlock_free(model: ExecutionModel,
-                           include_empty: bool = False) -> bool:
-    """Whether the *complete* reachable set has a step out of every
-    state — verified on the fixpoint BDD, no state graph is built.
-
-    Raises :class:`~repro.errors.SymbolicEncodingError` when the model
-    cannot be finitely encoded (fall back to
-    ``explore(...).is_deadlock_free()`` in that case).
-    """
-    from repro.engine.symbolic import symbolic_reachable
-    return symbolic_reachable(
-        model, include_empty=include_empty).is_deadlock_free()
-
-
-def symbolic_event_liveness(model: ExecutionModel) -> dict[str, bool]:
-    """Per-event liveness over the complete reachable set, answered on
-    the reachable-set BDD (cf. :func:`event_liveness` for graphs)."""
-    from repro.engine.symbolic import symbolic_reachable
-    alive = symbolic_reachable(model).live_events()
-    return {event: event in alive for event in model.events}
-
-
 def symbolic_variable_bounds(model: ExecutionModel
                              ) -> dict[str, tuple[int, int]]:
     """Min/max value per automaton variable over the complete reachable
@@ -230,30 +210,6 @@ def symbolic_variable_bounds(model: ExecutionModel
                 low, high = bounds.get(slot, (value, value))
                 bounds[slot] = (min(low, value), max(high, value))
     return bounds
-
-
-def symbolic_check_variable_bound(model: ExecutionModel, variable: str,
-                                  low: int | None = None,
-                                  high: int | None = None) -> bool:
-    """Verify ``low <= variable <= high`` over every reachable state.
-
-    *variable* is ``"<constraint label>.<variable name>"`` — e.g. a
-    place's occupancy counter, making this the buffer-bound verifier:
-    ``symbolic_check_variable_bound(model,
-    "PlaceLimitation@Place:a_b.size", high=capacity)``. Answered on the
-    reachable-set BDD.
-    """
-    bounds = symbolic_variable_bounds(model)
-    if variable not in bounds:
-        raise EngineError(
-            f"no automaton variable {variable!r}; known: "
-            f"{sorted(bounds) or '(none)'}")
-    observed_low, observed_high = bounds[variable]
-    if low is not None and observed_low < low:
-        return False
-    if high is not None and observed_high > high:
-        return False
-    return True
 
 
 def check_mutual_exclusion(space: StateSpace, events: list[str]) -> bool:

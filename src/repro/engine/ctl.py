@@ -10,8 +10,8 @@ spaces and evaluates it against either engine backend:
   space it is definitive; on a truncated space it returns
   ``HOLDS``/``FAILS`` only when the explored region alone proves the
   verdict (frontier states are treated as "anything may happen beyond
-  here") and :attr:`~repro.engine.properties.Verdict.UNKNOWN`
-  otherwise — never an unsound definitive answer;
+  here") and :attr:`Verdict.UNKNOWN` otherwise — never an unsound
+  definitive answer;
 * the **symbolic** backend evaluates the same formulas by backward
   fixpoints (:meth:`~repro.engine.symbolic.TransitionSystem.preimage`)
   directly on the BDD transition relation, restricted to the exact
@@ -21,8 +21,8 @@ spaces and evaluates it against either engine backend:
 Both backends extract a replayable witness/counterexample
 :class:`~repro.engine.trace.Trace` for the top-level operator, walk
 states in the same deterministic order, and therefore return identical
-verdicts *and* identical witnesses — asserted corpus-wide by
-:mod:`repro.engine.equivalence`.
+verdicts *and* identical witnesses — asserted corpus-wide by the
+differential oracle :func:`repro.fuzz.oracle.compare`.
 
 Syntax
 ======
@@ -52,12 +52,12 @@ range over *maximal* runs: a run ending in a deadlock counts, so e.g.
 
 from __future__ import annotations
 
+import enum
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from repro import obs
-from repro.engine.properties import Verdict
 from repro.engine.statespace import StateSpace
 from repro.engine.trace import Trace
 from repro.errors import EngineError, ParseError, SymbolicEncodingError
@@ -67,11 +67,44 @@ __all__ = [
     "VarCmp", "Not", "And", "Or", "Implies",
     "EX", "EF", "EG", "AX", "AF", "AG", "EU", "AU", "LeadsTo",
     "parse_property", "CheckResult", "check", "check_space",
-    "replay_steps", "PROPERTY_STRATEGIES",
+    "replay_steps", "PROPERTY_STRATEGIES", "Verdict",
 ]
 
 #: strategies accepted by :func:`check`
 PROPERTY_STRATEGIES = ("explicit", "symbolic", "auto")
+
+
+class Verdict(enum.Enum):
+    """Three-valued outcome of a property check.
+
+    ``HOLDS`` and ``FAILS`` are definitive; ``UNKNOWN`` means the
+    explored region was truncated before the check could conclude.
+    ``HOLDS`` is truthy and ``FAILS`` falsy, so definitive verdicts
+    drop into boolean contexts unchanged; coercing ``UNKNOWN`` to a
+    boolean raises ``ValueError`` — the exact unsound coercion this
+    type exists to prevent. Use :attr:`definitive` (or compare against
+    ``Verdict.UNKNOWN``) to branch without risking the raise.
+    """
+
+    HOLDS = "holds"
+    FAILS = "fails"
+    UNKNOWN = "unknown"
+
+    @property
+    def definitive(self) -> bool:
+        return self is not Verdict.UNKNOWN
+
+    def __str__(self) -> str:
+        return self.value
+
+    def __bool__(self) -> bool:
+        if self is Verdict.UNKNOWN:
+            raise ValueError(
+                "verdict is UNKNOWN (the state space was truncated before "
+                "the check could conclude); re-check with a larger budget "
+                "or the symbolic strategy (repro.engine.ctl.check) instead "
+                "of coercing to a boolean")
+        return self is Verdict.HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -1268,8 +1301,8 @@ class CheckResult:
 
 def _explicit_checker(space: StateSpace) -> _ExplicitChecker:
     """One evaluator per space, parked on the space instance — repeated
-    checks (the equivalence battery) share adjacency maps and memoized
-    sat sets. Callers must not mutate the graph afterwards."""
+    checks (the oracle's property battery) share adjacency maps and
+    memoized sat sets. Callers must not mutate the graph afterwards."""
     checker = getattr(space, "_ctl_checker", None)
     if checker is None:
         checker = _ExplicitChecker(space)

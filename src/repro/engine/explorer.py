@@ -22,8 +22,9 @@ Two strategies drive the same breadth-first skeleton:
 ``"auto"`` picks symbolic for models past a size threshold and falls
 back to explicit when the model cannot be finitely encoded. Both
 strategies produce byte-identical state spaces (asserted corpus-wide by
-:mod:`repro.engine.equivalence`), including ``max_states`` truncation
-and frontier marking — the skeleton below is literally shared.
+the differential oracle :mod:`repro.fuzz.oracle`), including
+``max_states`` truncation and frontier marking — the skeleton below is
+literally shared.
 """
 
 from __future__ import annotations

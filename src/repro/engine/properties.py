@@ -40,51 +40,23 @@ structure and keep raising ``ValueError`` on truncated spaces.
 
 For richer temporal logic (full CTL, nested operators, symbolic
 fixpoint evaluation that never builds the graph), see
-:mod:`repro.engine.ctl`, which subsumes these checks.
+:mod:`repro.engine.ctl`, which also owns :class:`Verdict`. CTL does
+not subsume these checks: they quantify over *transitions* (the step
+taken), while CTL's ``occurs(e)`` is a *state* atom ("``e`` is
+enabled"). ``never(space, together(a, b))`` ("``a`` and ``b`` never
+fire in one step") and ``inevitable(space, occurs(e))`` ("every run
+fires ``e``") therefore have no CTL equivalent.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from typing import Callable
 
+from repro.engine.ctl import Verdict
 from repro.engine.statespace import StateSpace
 
 StepPredicate = Callable[[frozenset[str]], bool]
-
-
-class Verdict(enum.Enum):
-    """Three-valued outcome of a property check.
-
-    ``HOLDS`` and ``FAILS`` are definitive; ``UNKNOWN`` means the
-    explored region was truncated before the check could conclude.
-    ``HOLDS`` is truthy and ``FAILS`` falsy, so definitive verdicts
-    drop into boolean contexts unchanged; coercing ``UNKNOWN`` to a
-    boolean raises ``ValueError`` — the exact unsound coercion this
-    type exists to prevent. Use :attr:`definitive` (or compare against
-    ``Verdict.UNKNOWN``) to branch without risking the raise.
-    """
-
-    HOLDS = "holds"
-    FAILS = "fails"
-    UNKNOWN = "unknown"
-
-    @property
-    def definitive(self) -> bool:
-        return self is not Verdict.UNKNOWN
-
-    def __str__(self) -> str:
-        return self.value
-
-    def __bool__(self) -> bool:
-        if self is Verdict.UNKNOWN:
-            raise ValueError(
-                "verdict is UNKNOWN (the state space was truncated before "
-                "the check could conclude); re-check with a larger budget "
-                "or the symbolic strategy (repro.engine.ctl.check) instead "
-                "of coercing to a boolean")
-        return self is Verdict.HOLDS
 
 
 def occurs(event: str) -> StepPredicate:

@@ -45,7 +45,8 @@ the graph analyses keep working unchanged — runs the very same BFS loop
 as the explicit strategy over a :class:`CompiledStateView`, replacing
 per-edge runtime mutation with table lookups; the two strategies
 therefore produce byte-identical state spaces, including truncation
-frontiers, which the :mod:`repro.engine.equivalence` harness asserts.
+frontiers, which the differential oracle (:mod:`repro.fuzz.oracle`)
+asserts.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ DEFAULT_MAX_LOCAL_STATES = 4_096
 #: product with early quantification (the default — an order of
 #: magnitude faster on wide/mesh topologies); ``monolithic`` conjoins
 #: them into one relation BDD up front (the pre-partitioning behaviour,
-#: kept for the equivalence battery and as a fallback).
+#: kept for the differential oracle and as a fallback).
 RELATION_MODES = ("partitioned", "monolithic")
 DEFAULT_RELATION_MODE = "partitioned"
 #: greedy cluster merging stops once a merged cluster would exceed this

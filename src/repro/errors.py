@@ -111,11 +111,6 @@ class SymbolicEncodingError(EngineError):
     (e.g. a constraint's local state space exceeded the closure bound)."""
 
 
-class EquivalenceError(EngineError):
-    """The symbolic and explicit exploration strategies disagreed —
-    raised by the cross-checking harness; always a bug, never user error."""
-
-
 # ---------------------------------------------------------------------------
 # domain (SDF / deployment) errors
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ Pieces (one module each):
     seeded CTL formulas over the generated model's event alphabet,
     built as AST so they parse by construction;
 ``oracle``
-    the differential comparison and its failure taxonomy
-    (``disagreement`` / ``witness`` / ``crash``), each failure carrying
-    a self-contained repro document;
+    the differential comparison (:func:`~repro.fuzz.oracle.compare`,
+    also run by ``repro selftest`` and the corpus tests) and its failure
+    taxonomy (``disagreement`` / ``witness`` / ``crash``), each fuzz
+    failure carrying a self-contained repro document;
 ``shrink``
     greedy structure-level minimization of failing cases;
 ``corpus``
@@ -64,7 +65,7 @@ Generator grammar, per front-end
     a declarative ``Chain``), so the MoCCML text parser, automata
     runtimes, and declarative instantiation are exercised.
 
-Properties mix instantiations of the 10-template cross-check battery
+Properties mix instantiations of the 10-template property battery
 (random event substitution) with random formulas over ``occurs(e)`` /
 ``deadlock`` / ``true`` / ``false`` closed under the boolean
 connectives, the eight CTL operators, and ``leads_to``. Three in ten
@@ -86,7 +87,9 @@ from repro.fuzz.oracle import (
     CaseOutcome,
     FuzzFailure,
     check_case,
+    compare,
 )
+from repro.fuzz.properties import battery_texts
 from repro.fuzz.rng import GENERATION, case_rng, sub_rng
 from repro.fuzz.runner import replay_document, run_round
 from repro.fuzz.shrink import case_size, shrink_case

@@ -2,11 +2,12 @@
 
 Two sources, mixed per property:
 
-* an instantiation of the 10-template cross-check battery
-  (:data:`repro.engine.equivalence.PROPERTY_BATTERY`) with *randomly
-  drawn* events — the templates encode the operator shapes that have
-  historically found bugs, the random substitution stops them from
-  always probing the same two events;
+* an instantiation of the 10-template battery (:data:`PROPERTY_BATTERY`,
+  which ``repro selftest`` and the corpus tests also run through the
+  differential oracle) with *randomly drawn* events — the templates
+  encode the operator shapes that have historically found bugs, the
+  random substitution stops them from always probing the same two
+  events;
 * a random formula over the grammar atoms ``occurs(e)`` / ``deadlock``
   / ``true`` / ``false`` closed under ``!``, ``&``, ``|``, ``->``, the
   CTL operators (``EX EF EG AX AF AG``, ``E[.U.]``/``A[.U.]``) and a
@@ -40,6 +41,22 @@ from repro.engine.ctl import (
     Or,
     Prop,
     TrueProp,
+)
+
+#: property templates of the differential battery; ``{e0}`` and ``{e1}``
+#: are substituted with events of the model (order matters: fuzz cases
+#: draw templates from this tuple by position)
+PROPERTY_BATTERY = (
+    "AG !deadlock",
+    "EF deadlock",
+    "EF occurs({e0})",
+    "AF occurs({e0})",
+    "AG occurs({e0})",
+    "EG !occurs({e1})",
+    "E[!occurs({e1}) U occurs({e0})]",
+    "A[!occurs({e1}) U occurs({e0})]",
+    "occurs({e0}) leads_to occurs({e1})",
+    "AX (occurs({e0}) | occurs({e1}) | deadlock)",
 )
 
 _UNARY = (EX, EF, EG, AX, AF, AG, Not)
@@ -87,10 +104,17 @@ def random_property(rng: random.Random, events: list[str]) -> str:
     return _formula(rng, events, 2).to_text()
 
 
+def battery_texts(model) -> list[str]:
+    """The battery instantiated with *model*'s first two events."""
+    events = sorted(model.events)
+    if not events:
+        return [t for t in PROPERTY_BATTERY if "{e" not in t]
+    substitutions = {"e0": events[0], "e1": events[min(1, len(events) - 1)]}
+    return [template.format(**substitutions) for template in PROPERTY_BATTERY]
+
+
 def battery_property(rng: random.Random, events: list[str]) -> str:
     """One battery template instantiated with randomly drawn events."""
-    from repro.engine.equivalence import PROPERTY_BATTERY
-
     template = rng.choice(PROPERTY_BATTERY)
     if not events:
         return "AG !deadlock"

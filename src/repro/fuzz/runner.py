@@ -20,6 +20,7 @@ in the report carries a self-contained repro document replayable with
 
 from __future__ import annotations
 
+import contextvars
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -198,8 +199,11 @@ def run_round(
                 index = next_index
                 next_index += 1
                 frontend = lanes[index % len(lanes)]
+                # pool threads do not inherit the submitter's context:
+                # copy it so case spans nest under the caller's span
                 pending.append(
                     pool.submit(
+                        contextvars.copy_context().run,
                         _process_index,
                         seed,
                         index,

@@ -2,7 +2,8 @@
 
 The analyzer is only trustworthy if its diagnostics survive contact
 with the dynamic semantics, so — mirroring
-:mod:`repro.engine.equivalence` for the symbolic backend — this module
+the differential oracle :mod:`repro.fuzz.oracle` for the symbolic
+backend — this module
 replays every diagnostic carrying a ``confirm`` descriptor against the
 engine and reports every divergence:
 

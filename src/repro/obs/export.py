@@ -81,7 +81,11 @@ def _aggregate(tracer) -> list[dict]:
 def profile_report(tracer, top: int = 15) -> str:
     """A plain-text top-*top* self-time profile of the trace."""
     rows = _aggregate(tracer)
-    wall = sum(root.duration for root in tracer.roots) or 1e-9
+    # the extent of the roots, not their sum: roots recorded on
+    # concurrent threads overlap in time
+    roots = list(tracer.roots)
+    wall = (max(root.end for root in roots)
+            - min(root.start for root in roots) if roots else 0.0) or 1e-9
     lines = [
         f"profile: {sum(row['calls'] for row in rows)} span(s), "
         f"{wall:.3f}s wall",

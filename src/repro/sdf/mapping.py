@@ -3,13 +3,11 @@
 The mapping text below extends the paper's Listing 1 with the two
 coincidence invariants its prose describes (*read simultaneous to
 start*, *stop simultaneous to a write*) and the agent-execution
-constraint. :func:`build_execution_model` runs the full Fig. 1 pipeline:
+constraint. :func:`weave_sdf` runs the full Fig. 1 pipeline:
 parse the mapping, register the libraries, weave over a model.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.ccsl.library import kernel_library
 from repro.ecl.parser import parse_ecl
@@ -77,17 +75,3 @@ def weave_sdf(model: Model, place_variant: str = "default",
                          name="sdf-mapping")
     return weave(document, model, registry)
 
-
-def build_execution_model(model: Model, place_variant: str = "default",
-                          mapping_text: str | None = None,
-                          extra_libraries: tuple[RelationLibrary, ...] = ()
-                          ) -> WeaveResult:
-    """Deprecated alias of :func:`weave_sdf`.
-
-    Use :func:`weave_sdf` — or ``repro.workbench.load(...)`` — instead.
-    """
-    warnings.warn(
-        "build_execution_model(...) is deprecated; use "
-        "repro.sdf.weave_sdf(...) or repro.workbench.load(...)",
-        DeprecationWarning, stacklevel=2)
-    return weave_sdf(model, place_variant, mapping_text, extra_libraries)

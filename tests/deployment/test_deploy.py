@@ -3,7 +3,7 @@
 import pytest
 
 from repro.deployment import Allocation, Platform, deploy
-from repro.engine import AsapPolicy, Simulator, explore
+from repro.engine import AsapPolicy, explore, simulate_model
 from repro.engine.analysis import check_mutual_exclusion
 from repro.errors import DeploymentError
 from repro.sdf import SdfBuilder
@@ -37,15 +37,15 @@ class TestDeploy:
 
     def test_infinite_resources_allow_parallel_firings(self):
         model, app = pipeline()
-        from repro.sdf import build_execution_model
-        space = explore(build_execution_model(model).execution_model)
+        from repro.sdf import weave_sdf
+        space = explore(weave_sdf(model).execution_model)
         starts = [f"a{i}.start" for i in range(3)]
         assert not check_mutual_exclusion(space, starts)
 
     def test_mono_reduces_statespace_transitions(self):
         model, app = pipeline()
-        from repro.sdf import build_execution_model
-        free_space = explore(build_execution_model(model).execution_model)
+        from repro.sdf import weave_sdf
+        free_space = explore(weave_sdf(model).execution_model)
         allocation = Allocation({"a0": "cpu", "a1": "cpu", "a2": "cpu"})
         result = deploy(model, app, mono_platform(), allocation)
         deployed_space = explore(result.execution_model)
@@ -80,11 +80,11 @@ class TestDeploy:
         platform.link("cpu0", "cpu1", latency=3)
         allocation = Allocation({"a0": "cpu0", "a1": "cpu0", "a2": "cpu1"})
         deployed = deploy(model, app, platform, allocation)
-        slow = Simulator(deployed.execution_model, AsapPolicy()).run(30)
+        slow = simulate_model(deployed.execution_model, AsapPolicy(), 30)
 
-        from repro.sdf import build_execution_model
-        free = Simulator(build_execution_model(model).execution_model,
-                         AsapPolicy()).run(30)
+        from repro.sdf import weave_sdf
+        free = simulate_model(weave_sdf(model).execution_model,
+                              AsapPolicy(), 30)
         assert slow.trace.count("a2.start") < free.trace.count("a2.start")
 
     def test_speed_factor_scales_cycles(self):

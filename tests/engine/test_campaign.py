@@ -2,11 +2,11 @@
 
 from repro.engine.campaign import (
     CampaignRow,
+    campaign,
     default_policies,
     format_campaign,
-    run_campaign,
 )
-from repro.sdf import SdfBuilder, build_execution_model
+from repro.sdf import SdfBuilder, weave_sdf
 
 
 def pipeline_model():
@@ -15,13 +15,13 @@ def pipeline_model():
     builder.agent("b")
     builder.connect("a", "b", capacity=2)
     model, _app = builder.build()
-    return build_execution_model(model).execution_model
+    return weave_sdf(model).execution_model
 
 
 class TestCampaign:
     def test_rows_per_policy_kind(self):
-        rows = run_campaign(pipeline_model(), steps=20,
-                            watch_events=["b.start"])
+        rows = campaign(pipeline_model(), steps=20,
+                        watch_events=["b.start"])
         names = {row.policy for row in rows}
         assert names == {"asap", "minimal", "random"}
         random_row = next(row for row in rows if row.policy == "random")
@@ -30,12 +30,12 @@ class TestCampaign:
     def test_model_not_mutated(self):
         model = pipeline_model()
         before = model.configuration()
-        run_campaign(model, steps=10, watch_events=["b.start"])
+        campaign(model, steps=10, watch_events=["b.start"])
         assert model.configuration() == before
 
     def test_throughput_recorded(self):
-        rows = run_campaign(pipeline_model(), steps=30,
-                            watch_events=["a.start", "b.start"])
+        rows = campaign(pipeline_model(), steps=30,
+                        watch_events=["a.start", "b.start"])
         for row in rows:
             assert set(row.throughput) == {"a.start", "b.start"}
             assert 0.0 <= row.throughput["b.start"] <= 1.0
@@ -48,8 +48,8 @@ class TestCampaign:
             builder.agent(f"dst{index}")
             builder.connect(f"src{index}", f"dst{index}", capacity=2)
         model, _app = builder.build()
-        engine_model = build_execution_model(model).execution_model
-        rows = {row.policy: row for row in run_campaign(
+        engine_model = weave_sdf(model).execution_model
+        rows = {row.policy: row for row in campaign(
             engine_model, steps=20, watch_events=["dst0.start"])}
         assert rows["asap"].mean_parallelism \
             > rows["minimal"].mean_parallelism
@@ -64,10 +64,10 @@ class TestCampaign:
 
     def test_custom_policies(self):
         from repro.engine import RandomPolicy
-        rows = run_campaign(pipeline_model(), steps=10,
-                            watch_events=["b.start"],
-                            policies=[RandomPolicy(seed=1),
-                                      RandomPolicy(seed=2)])
+        rows = campaign(pipeline_model(), steps=10,
+                        watch_events=["b.start"],
+                        policies=[RandomPolicy(seed=1),
+                                  RandomPolicy(seed=2)])
         assert len(rows) == 1
         assert rows[0].runs == 2
 

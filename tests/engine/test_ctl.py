@@ -25,7 +25,7 @@ from repro.engine.ctl import (
     parse_property,
     replay_steps,
 )
-from repro.engine.properties import Verdict
+from repro.engine.ctl import Verdict
 from repro.errors import EngineError, ParseError
 from repro.sdf import SdfBuilder, weave_sdf
 

@@ -18,10 +18,10 @@ from repro.engine import (
     AsapPolicy,
     MinimalPolicy,
     RandomPolicy,
-    Simulator,
     explore,
+    simulate_model,
 )
-from repro.sdf import SdfBuilder, build_execution_model
+from repro.sdf import SdfBuilder, weave_sdf
 
 
 def small_model():
@@ -32,7 +32,7 @@ def small_model():
     builder.connect("x", "y", push=2, pop=1, capacity=3)
     builder.connect("y", "z", push=1, pop=1, capacity=2)
     model, _app = builder.build()
-    return build_execution_model(model).execution_model
+    return weave_sdf(model).execution_model
 
 
 def replay_to(space, model, target):
@@ -76,7 +76,7 @@ class TestCompleteness:
     def test_simulated_traces_stay_in_the_space(self, policy):
         model = small_model()
         space = explore(model, max_states=5000)
-        simulation = Simulator(model.clone(), policy).run(25)
+        simulation = simulate_model(model.clone(), policy, 25)
         node = space.initial
         for step in simulation.trace:
             successors = [

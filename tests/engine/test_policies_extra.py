@@ -7,10 +7,10 @@ from repro.engine import (
     AsapPolicy,
     ExecutionModel,
     ReplayPolicy,
-    Simulator,
+    simulate_model,
 )
 from repro.errors import EngineError
-from repro.sdf import SdfBuilder, build_execution_model
+from repro.sdf import SdfBuilder, weave_sdf
 
 
 def alternation_model():
@@ -19,9 +19,9 @@ def alternation_model():
 
 class TestReplayPolicy:
     def test_replay_reproduces_trace(self):
-        original = Simulator(alternation_model(), AsapPolicy()).run(6)
-        replayed = Simulator(alternation_model(),
-                             ReplayPolicy(original.trace)).run(10)
+        original = simulate_model(alternation_model(), AsapPolicy(), 6)
+        replayed = simulate_model(alternation_model(),
+                                  ReplayPolicy(original.trace), 10)
         assert list(replayed.trace) == list(original.trace)
         # recording exhausted after 6 steps -> reported as stop
         assert replayed.steps_run == 6
@@ -29,9 +29,8 @@ class TestReplayPolicy:
     def test_replay_detects_divergence(self):
         # record on a free model, replay against the alternation MoCC
         free_trace = [frozenset({"a"}), frozenset({"a"})]
-        simulator = Simulator(alternation_model(), ReplayPolicy(free_trace))
         with pytest.raises(EngineError):
-            simulator.run(5)
+            simulate_model(alternation_model(), ReplayPolicy(free_trace), 5)
 
     def test_replay_infinite_trace_against_deployment(self):
         # the infinite-resource schedule is NOT valid on a mono-processor:
@@ -47,8 +46,8 @@ class TestReplayPolicy:
             return builder.build()
 
         model, _app = build()
-        free = build_execution_model(model).execution_model
-        free_run = Simulator(free, AsapPolicy()).run(10)
+        free = weave_sdf(model).execution_model
+        free_run = simulate_model(free, AsapPolicy(), 10)
         parallel_steps = [
             step for step in free_run.trace
             if sum(1 for e in step if e.endswith(".start")) > 1]
@@ -59,16 +58,15 @@ class TestReplayPolicy:
         platform.processor("cpu")
         deployed = deploy(model2, app2, platform,
                           Allocation({f"a{i}": "cpu" for i in range(3)}))
-        simulator = Simulator(deployed.execution_model,
-                              ReplayPolicy(free_run.trace))
         with pytest.raises(EngineError):
-            simulator.run(len(free_run.trace))
+            simulate_model(deployed.execution_model,
+                           ReplayPolicy(free_run.trace), len(free_run.trace))
 
 
 class TestObservers:
     def test_observer_called_per_step(self):
         seen = []
-        Simulator(alternation_model(), AsapPolicy()).run(
+        simulate_model(alternation_model(), AsapPolicy(),
             4, observers=[lambda i, step, model: seen.append((i, step))])
         assert [i for i, _ in seen] == [0, 1, 2, 3]
         assert seen[0][1] == frozenset({"a"})
@@ -80,7 +78,7 @@ class TestObservers:
             constraint = model.constraints[0]
             sizes.append(constraint.advance_count)
 
-        Simulator(alternation_model(), AsapPolicy()).run(
+        simulate_model(alternation_model(), AsapPolicy(),
             4, observers=[watch])
         assert sizes == [1, 0, 1, 0]
 
@@ -95,12 +93,12 @@ class TestSymbolicAsap:
             builder.connect(f"a{index}", f"a{index+1}", capacity=2)
         model, _app = builder.build()
 
-        enumerating = Simulator(
-            build_execution_model(model).execution_model,
-            AsapPolicy(symbolic_threshold=10_000)).run(15)
-        symbolic = Simulator(
-            build_execution_model(model).execution_model,
-            AsapPolicy(symbolic_threshold=0)).run(15)
+        enumerating = simulate_model(
+            weave_sdf(model).execution_model,
+            AsapPolicy(symbolic_threshold=10_000), 15)
+        symbolic = simulate_model(
+            weave_sdf(model).execution_model,
+            AsapPolicy(symbolic_threshold=0), 15)
         enum_sizes = [len(step) for step in enumerating.trace]
         symb_sizes = [len(step) for step in symbolic.trace]
         assert enum_sizes == symb_sizes
@@ -118,7 +116,7 @@ class TestSymbolicAsap:
         builder.agent("y")
         builder.connect("x", "y", capacity=2, delay=1)
         model, _app = builder.build()
-        engine_model = build_execution_model(model).execution_model
+        engine_model = weave_sdf(model).execution_model
         step = engine_model.max_step()
         assert engine_model.is_acceptable(step)
         best = max(engine_model.acceptable_steps(), key=len)

@@ -111,13 +111,13 @@ class TestLeadsTo:
 
     def test_sdf_request_response(self):
         # producer firing leads to consumer firing in a bounded pipeline
-        from repro.sdf import SdfBuilder, build_execution_model
+        from repro.sdf import SdfBuilder, weave_sdf
         builder = SdfBuilder("duo")
         builder.agent("p")
         builder.agent("c")
         builder.connect("p", "c", capacity=2)
         model, _app = builder.build()
-        space = explore(build_execution_model(model).execution_model)
+        space = explore(weave_sdf(model).execution_model)
         assert leads_to(space, occurs("p.start"), occurs("c.start"))
 
 

@@ -3,18 +3,19 @@
 The partitioned relation (clustered conjuncts, early quantification in
 ``image``/``preimage``) and the eagerly-conjoined monolithic relation
 are two layouts of the *same* transition function — every observable
-artifact must be identical under either mode. These tests sweep the
-equivalence corpus with the mode forced both ways, compare serialized
-state spaces byte-for-byte across modes, and pin that verdicts survive
-a forced variable reorder mid-analysis.
+artifact must be identical under either mode. These tests run the
+equivalence corpus through the differential oracle (which compares
+both layouts against the explicit engine), compare serialized state
+spaces byte-for-byte across modes, and pin that verdicts survive a
+forced variable reorder mid-analysis.
 """
 
 import pytest
 
-from repro.engine import cross_check, explore
-from repro.engine.ctl import check
-from repro.engine.properties import Verdict
+from repro.engine import explore
+from repro.engine.ctl import Verdict, check
 from repro.engine.symbolic import symbolic_reachable
+from repro.fuzz import compare
 
 from tests.engine.test_symbolic_equivalence import CORPUS
 
@@ -23,13 +24,12 @@ MODES = ("partitioned", "monolithic")
 
 class TestCorpusBothModes:
     @pytest.mark.parametrize("name", sorted(CORPUS))
-    @pytest.mark.parametrize("mode", MODES)
-    def test_mode_agrees_with_explicit(self, name, mode):
+    def test_modes_agree_with_explicit(self, name):
         """Each mode independently matches the explicit engine on the
         full corpus (graph keys, transitions, serialized space)."""
-        model = CORPUS[name]()
-        report = cross_check(model, max_states=10_000, relation_mode=mode)
-        assert report["mismatches"] == [], (name, mode)
+        comparison = compare(CORPUS[name](), [], 10_000)
+        assert comparison.mismatches == [], name
+        assert comparison.checks == len(MODES)
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_modes_serialize_identically(self, name):

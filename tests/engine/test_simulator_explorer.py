@@ -9,10 +9,10 @@ from repro.engine import (
     MinimalPolicy,
     PriorityPolicy,
     RandomPolicy,
-    Simulator,
     Trace,
     explore,
     max_cycle_mean_throughput,
+    simulate_model,
 )
 from repro.engine.analysis import check_mutual_exclusion, variable_bounds
 from repro.engine.policies import CallbackPolicy
@@ -31,13 +31,13 @@ def place_model(push=1, pop=1, delay=0, capacity=2):
 class TestSimulator:
     def test_asap_alternation(self):
         model = ExecutionModel(["a", "b"], [AlternatesRuntime("a", "b")])
-        result = Simulator(model, AsapPolicy()).run(6)
+        result = simulate_model(model, AsapPolicy(), 6)
         assert result.steps_run == 6
         assert list(result.trace) == [frozenset({"a"}), frozenset({"b"})] * 3
 
     def test_place_capacity_bounds_writes(self):
         model = place_model(capacity=2)
-        result = Simulator(model, PriorityPolicy({"w": 10})).run(10)
+        result = simulate_model(model, PriorityPolicy({"w": 10}), 10)
         # writes always preferred, but capacity forces alternation w w r w r...
         counts = result.trace.counts()
         assert counts["w"] - counts["r"] <= 2
@@ -48,7 +48,7 @@ class TestSimulator:
         model = ExecutionModel(
             ["a", "b"],
             [PrecedesRuntime("a", "b"), PrecedesRuntime("b", "a")])
-        result = Simulator(model, AsapPolicy()).run(5)
+        result = simulate_model(model, AsapPolicy(), 5)
         assert result.deadlocked
         assert result.stop_reason == "deadlock"
         assert result.steps_run == 0
@@ -58,24 +58,26 @@ class TestSimulator:
             ["a", "b"],
             [PrecedesRuntime("a", "b"), PrecedesRuntime("b", "a")])
         with pytest.raises(DeadlockError):
-            Simulator(model, AsapPolicy()).run(5, on_deadlock="raise")
+            simulate_model(model, AsapPolicy(), 5, on_deadlock="raise")
 
     def test_stop_condition(self):
         model = place_model(capacity=5)
-        result = Simulator(model, AsapPolicy()).run(
+        result = simulate_model(model, AsapPolicy(),
             100, stop_when=lambda trace: trace.count("r") >= 3)
         assert result.stop_reason == "stop-condition"
         assert result.trace.count("r") == 3
 
     def test_random_policy_reproducible(self):
-        first = Simulator(place_model(capacity=4), RandomPolicy(seed=7)).run(20)
-        second = Simulator(place_model(capacity=4), RandomPolicy(seed=7)).run(20)
+        first = simulate_model(place_model(capacity=4),
+                               RandomPolicy(seed=7), 20)
+        second = simulate_model(place_model(capacity=4),
+                                RandomPolicy(seed=7), 20)
         assert list(first.trace) == list(second.trace)
 
     def test_minimal_policy_serializes(self):
         model = ExecutionModel(["a", "b"], [coincides("a", "b")])
         model.add_event("c")
-        result = Simulator(model, MinimalPolicy()).run(3)
+        result = simulate_model(model, MinimalPolicy(), 3)
         # minimal non-empty steps: singletons where possible ({c}), else
         # the coincident pair
         assert all(len(step) <= 2 for step in result.trace)
@@ -84,7 +86,7 @@ class TestSimulator:
         model = place_model(capacity=3)
         policy = CallbackPolicy(lambda candidates, index: sorted(
             candidates, key=sorted)[0])
-        result = Simulator(model, policy).run(4)
+        result = simulate_model(model, policy, 4)
         assert result.steps_run == 4
 
 

@@ -5,15 +5,15 @@ import pytest
 from repro.engine import (
     AsapPolicy,
     ExecutionModel,
-    Simulator,
     Trace,
     event_liveness,
     explore,
     parallelism_profile,
+    simulate_model,
 )
 from repro.engine.analysis import occurrence_latency
 from repro.engine.explorer import _maximal_steps
-from repro.sdf import SdfBuilder, build_execution_model
+from repro.sdf import SdfBuilder, weave_sdf
 
 
 def pipeline_space(maximal_only=False, length=3, capacity=2):
@@ -23,7 +23,7 @@ def pipeline_space(maximal_only=False, length=3, capacity=2):
     for index in range(length - 1):
         builder.connect(f"a{index}", f"a{index+1}", capacity=capacity)
     model, _app = builder.build()
-    return explore(build_execution_model(model).execution_model,
+    return explore(weave_sdf(model).execution_model,
                    maximal_only=maximal_only, max_states=50_000)
 
 
@@ -94,8 +94,8 @@ class TestLatency:
         builder.agent("dst")
         builder.connect("src", "dst", capacity=2)
         model, _app = builder.build()
-        result = Simulator(build_execution_model(model).execution_model,
-                           AsapPolicy()).run(10)
+        result = simulate_model(weave_sdf(model).execution_model,
+                                AsapPolicy(), 10)
         latencies = occurrence_latency(result.trace, "src.start",
                                        "dst.start")
         assert latencies

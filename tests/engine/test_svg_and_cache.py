@@ -9,8 +9,8 @@ from repro.engine import (
     ExecutionModel,
     MinimalPolicy,
     PriorityPolicy,
-    Simulator,
     Trace,
+    simulate_model,
 )
 from repro.errors import EngineError
 
@@ -80,7 +80,7 @@ class TestPolicyEdges:
 
     def test_simulator_final_accepting_flag(self):
         model = ExecutionModel(["a", "b"], [AlternatesRuntime("a", "b")])
-        result = Simulator(model, AsapPolicy()).run(1)
+        result = simulate_model(model, AsapPolicy(), 1)
         # after a single 'a', the alternation is mid-cycle but the
         # precedence runtime has no final-state notion -> accepting
         assert result.final_accepting

@@ -6,15 +6,14 @@ import pytest
 
 from repro.ccsl import AlternatesRuntime, PrecedesRuntime
 from repro.engine import (
-    ExecutionModel,
     CompiledStateView,
+    ExecutionModel,
+    check,
     explore,
-    symbolic_check_variable_bound,
-    symbolic_deadlock_free,
-    symbolic_event_liveness,
     symbolic_reachable,
     symbolic_variable_bounds,
 )
+from repro.engine.ctl import Verdict
 from repro.engine.symbolic import (
     MAX_ALPHABET,
     TransitionSystem,
@@ -168,7 +167,7 @@ class TestFixpoint:
 
 class TestSymbolicAnalyses:
     def test_deadlock_free_chain(self):
-        assert symbolic_deadlock_free(chain_model(3))
+        assert symbolic_reachable(chain_model(3)).is_deadlock_free()
 
     def test_deadlocking_model(self):
         # a must lead and b must lead: no first step at all
@@ -176,13 +175,14 @@ class TestSymbolicAnalyses:
             ["a", "b"],
             [AlternatesRuntime("a", "b"), AlternatesRuntime("b", "a")],
             name="deadlock")
-        assert not symbolic_deadlock_free(model)
+        assert not symbolic_reachable(model).is_deadlock_free()
         assert not explore(model).is_deadlock_free()
 
     def test_liveness_matches_graph(self):
         from repro.engine import event_liveness
         model = chain_model(3)
-        assert symbolic_event_liveness(model) == \
+        alive = symbolic_reachable(model).live_events()
+        assert {event: event in alive for event in model.events} == \
             event_liveness(explore(model))
 
     def test_variable_bounds_match_graph(self):
@@ -195,14 +195,16 @@ class TestSymbolicAnalyses:
         model = chain_model(3, capacity=2)
         label = next(c.label for c in model.constraints
                      if "Place" in c.label)
-        assert symbolic_check_variable_bound(model, f"{label}.size",
-                                             low=0, high=2)
-        assert not symbolic_check_variable_bound(model, f"{label}.size",
-                                                 high=1)
+        size = f"var({label}.size)"
+        assert check(model, f"AG ({size} >= 0 & {size} <= 2)",
+                     strategy="symbolic").verdict is Verdict.HOLDS
+        assert check(model, f"AG {size} <= 1",
+                     strategy="symbolic").verdict is Verdict.FAILS
 
     def test_unknown_variable_raises(self):
-        with pytest.raises(EngineError, match="no automaton variable"):
-            symbolic_check_variable_bound(chain_model(2), "nope.var")
+        with pytest.raises(EngineError, match="no constraint labelled"):
+            check(chain_model(2), "AG var(nope.var) <= 0",
+                  strategy="symbolic")
 
     def test_local_states_by_label(self):
         model = chain_model(3, capacity=2)

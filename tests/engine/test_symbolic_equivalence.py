@@ -1,10 +1,12 @@
-"""The mandatory equivalence harness: symbolic vs explicit reachability.
+"""The mandatory equivalence corpus: symbolic vs explicit reachability.
 
-Every model family in the corpus is cross-checked — identical state
-spaces (states, transitions, serialized bytes, truncation frontiers)
-plus the pure fixpoint's state count, deadlock verdict and event
-liveness. A mismatch anywhere is a bug in the symbolic engine, never an
-acceptable difference.
+Every model family in the corpus runs through the differential oracle
+(:func:`repro.fuzz.compare`) — identical state spaces under both
+relation layouts (states, transitions, serialized bytes, truncation
+frontiers) plus the pure fixpoint's state count, deadlock verdict and
+event liveness, and the property battery under every backend
+configuration. A mismatch anywhere is a bug in the symbolic engine,
+never an acceptable difference.
 """
 
 import pytest
@@ -18,8 +20,9 @@ from repro.ccsl import (
     PrecedesRuntime,
     SampledOnRuntime,
 )
-from repro.engine import ExecutionModel, assert_equivalent, cross_check
+from repro.engine import ExecutionModel
 from repro.errors import SymbolicEncodingError
+from repro.fuzz import battery_texts, compare
 from repro.moccml.semantics.runtime import FormulaRuntime
 from repro.boolalg.expr import Implies, Not, Or, Var
 from repro.sdf import SdfBuilder, weave_sdf
@@ -95,38 +98,45 @@ CORPUS = {
 }
 
 
+def assert_agree(model, max_states=10_000, battery=True, **options):
+    texts = battery_texts(model) if battery else []
+    comparison = compare(model, texts, max_states, **options)
+    assert comparison.agree, [str(m) for m in comparison.mismatches]
+    assert not comparison.unencodable
+    return comparison
+
+
 class TestCorpusEquivalence:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_full_space(self, name):
-        report = assert_equivalent(CORPUS[name](), max_states=20_000)
-        assert report["agree"]
-        assert report["fixpoint"]["states"] == report["states"]
+        comparison = assert_agree(CORPUS[name](), max_states=20_000)
+        assert comparison.fixpoint["states"] == comparison.states
 
     @pytest.mark.parametrize("name", ["chain3-cap2", "forkjoin",
                                       "ccsl-mix"])
     def test_include_empty(self, name):
-        assert_equivalent(CORPUS[name](), include_empty=True)
+        assert_agree(CORPUS[name](), include_empty=True)
 
     @pytest.mark.parametrize("name", ["chain3-cap2", "forkjoin"])
     def test_maximal_only(self, name):
-        assert_equivalent(CORPUS[name](), maximal_only=True)
+        assert_agree(CORPUS[name](), battery=False, maximal_only=True)
 
-    def test_mismatch_is_reported_not_hidden(self):
-        # sanity of the harness itself: a cross_check report carries the
-        # metrics it compared
-        report = cross_check(sdf_chain(2))
-        assert report["states"] > 0
-        assert report["mismatches"] == []
+    def test_comparison_reports_what_it_compared(self):
+        # sanity of the oracle itself: both relation layouts and all
+        # three backend configurations per property were run
+        comparison = compare(sdf_chain(2), ["AG !deadlock"], 10_000)
+        assert comparison.states > 0
+        assert comparison.mismatches == []
+        assert comparison.checks == 2 + 3
 
 
 class TestPropertyCrossCheck:
-    """The property battery rides every cross_check: both ctl backends
-    must agree on verdicts and witnesses for every corpus model."""
+    """The property battery rides the corpus: every backend
+    configuration must agree on verdicts and witnesses."""
 
     def test_report_carries_property_results(self):
-        report = cross_check(sdf_chain(3, capacity=2))
-        assert report["agree"]
-        battery = report["properties"]
+        comparison = assert_agree(sdf_chain(3, capacity=2))
+        battery = comparison.properties
         assert len(battery) == 10
         verdicts = {entry["verdict"] for entry in battery}
         assert verdicts <= {"holds", "fails"}  # complete space: definitive
@@ -139,9 +149,9 @@ class TestPropertyCrossCheck:
             [PrecedesRuntime("a", "b", bound=1),
              DelayedForRuntime("b", "a", 3)],
             name="deadlocker")
-        report = assert_equivalent(model)
+        comparison = assert_agree(model)
         deadlock_entries = {entry["property"]: entry["verdict"]
-                            for entry in report["properties"]}
+                            for entry in comparison.properties}
         assert deadlock_entries["EF deadlock"] == "holds"
         assert deadlock_entries["AG !deadlock"] == "fails"
 

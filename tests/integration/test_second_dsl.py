@@ -13,7 +13,7 @@ import pytest
 
 from repro.ccsl.library import kernel_library
 from repro.ecl import parse_ecl, weave
-from repro.engine import AsapPolicy, RandomPolicy, Simulator, explore
+from repro.engine import AsapPolicy, RandomPolicy, explore, simulate_model
 from repro.engine.properties import never, occurs, together
 from repro.kernel import MetamodelBuilder, Model
 from repro.moccml.library import LibraryRegistry
@@ -134,8 +134,8 @@ class TestSafety:
 class TestSimulation:
     def test_random_runs_stay_safe(self, woven):
         for seed in range(5):
-            result = Simulator(woven.execution_model.clone(),
-                               RandomPolicy(seed=seed)).run(30)
+            result = simulate_model(woven.execution_model.clone(),
+                                    RandomPolicy(seed=seed), 30)
             green = {"ns": False, "ew": False}
             for step in result.trace:
                 for light in green:
@@ -148,13 +148,13 @@ class TestSimulation:
     def test_asap_is_deterministic_but_can_starve(self, woven):
         # ASAP's lexicographic tie-break always picks the same singleton
         # step here: a fair scheduler is a policy choice, not a MoCC one
-        result = Simulator(woven.execution_model.clone(),
-                           AsapPolicy()).run(20)
+        result = simulate_model(woven.execution_model.clone(),
+                                AsapPolicy(), 20)
         assert result.trace.count("ns.turnGreen") == 10
         assert result.trace.count("ew.turnGreen") == 0
 
     def test_random_policy_serves_both_directions(self, woven):
-        result = Simulator(woven.execution_model.clone(),
-                           RandomPolicy(seed=1)).run(40)
+        result = simulate_model(woven.execution_model.clone(),
+                                RandomPolicy(seed=1), 40)
         assert result.trace.count("ns.turnGreen") > 0
         assert result.trace.count("ew.turnGreen") > 0

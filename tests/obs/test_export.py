@@ -91,3 +91,13 @@ class TestProfileReport:
     def test_empty_trace_renders(self, tracer):
         report = profile_report(tracer)
         assert report.startswith("profile: 0 span(s)")
+
+    def test_wall_is_the_extent_of_overlapping_roots(self, tracer):
+        # two roots from concurrent threads: 0-2 s and 1-3 s overlap,
+        # so the wall is 3 s, not the 4 s their durations sum to
+        for start, end in ((0.0, 2.0), (1.0, 3.0)):
+            root = tracer_module.Span(tracer, "worker", {})
+            root.start, root.end = start, end
+            tracer.attach(root, None)
+        report = profile_report(tracer)
+        assert report.splitlines()[0] == "profile: 2 span(s), 3.000s wall"

@@ -162,3 +162,62 @@ def test_artifacts_identical_traced_or_not(backend, workers):
     finally:
         obs.disable_tracing()
     assert traced == untraced
+
+
+class TestThreadFanOut:
+    def test_two_worker_fuzz_round_nests_every_span(self, tracer):
+        from repro.fuzz import run_round
+        with obs.span("caller"):
+            report = run_round(17, cases=2, frontends=("ccsl",), workers=2)
+        assert report["ok"]
+        assert [root.name for root in tracer.roots] == ["caller"]
+        assert len(list(tracer.spans())) > 1
+
+    def test_every_thread_pool_submission_copies_the_context(self):
+        """Pool threads do not inherit context variables: work handed
+        to a ThreadPoolExecutor must be submitted through
+        ``contextvars.copy_context().run`` or its spans become orphan
+        roots. Scanned per function over the whole package."""
+        import ast
+        import pathlib
+
+        import repro
+
+        def is_thread_pool(node):
+            return isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)
+            ) == "ThreadPoolExecutor"
+
+        def copies_context(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "run"
+                    and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "attr", None)
+                    == "copy_context")
+
+        submissions, offenders = 0, []
+        for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                pools = set()
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Assign) and is_thread_pool(
+                            node.value):
+                        pools.update(target.id for target in node.targets
+                                     if isinstance(target, ast.Name))
+                    if isinstance(node, ast.withitem) and is_thread_pool(
+                            node.context_expr) and isinstance(
+                            node.optional_vars, ast.Name):
+                        pools.add(node.optional_vars.id)
+                for node in ast.walk(function):
+                    if (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "submit"
+                            and isinstance(node.func.value, ast.Name)
+                            and node.func.value.id in pools):
+                        submissions += 1
+                        if not node.args or not copies_context(node.args[0]):
+                            offenders.append(f"{path.name}:{node.lineno}")
+        assert submissions >= 2  # farm/backend.py and fuzz/runner.py
+        assert offenders == []

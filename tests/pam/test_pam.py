@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import AsapPolicy, Simulator, explore
+from repro.engine import AsapPolicy, explore, simulate_model
 from repro.pam import (
     PAM_AGENTS,
     allocation_for,
@@ -70,18 +70,18 @@ class TestStudySmoke:
     def test_infinite_configuration_builds(self):
         execution_model = build_configuration("infinite")
         assert len(execution_model.events) == 40
-        simulation = Simulator(execution_model, AsapPolicy()).run(20)
+        simulation = simulate_model(execution_model, AsapPolicy(), 20)
         assert simulation.trace.count("logger.start") > 0
 
     def test_mono_never_fires_two_agents_together(self):
         execution_model = build_configuration("mono")
-        simulation = Simulator(execution_model, AsapPolicy()).run(30)
+        simulation = simulate_model(execution_model, AsapPolicy(), 30)
         for step in simulation.trace:
             assert concurrent_firings(step) <= 1
 
     def test_infinite_fires_agents_in_parallel(self):
         execution_model = build_configuration("infinite")
-        simulation = Simulator(execution_model, AsapPolicy()).run(30)
+        simulation = simulate_model(execution_model, AsapPolicy(), 30)
         assert max(concurrent_firings(step)
                    for step in simulation.trace) >= 2
 

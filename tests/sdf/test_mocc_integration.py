@@ -7,14 +7,14 @@ baseline simulator and against the repetition vector.
 
 import pytest
 
-from repro.engine import AsapPolicy, RandomPolicy, Simulator, explore
+from repro.engine import AsapPolicy, RandomPolicy, explore, simulate_model
 from repro.moccml.validate import validate_library
 from repro.sdf import (
     SdfBuilder,
     TokenSimulator,
-    build_execution_model,
     repetition_vector,
     sdf_library,
+    weave_sdf,
 )
 
 
@@ -26,7 +26,7 @@ def two_agent_model(push=1, pop=1, capacity=2, delay=0, cycles=(0, 0),
     builder.connect("prod", "cons", push=push, pop=pop, capacity=capacity,
                     delay=delay, name="buf")
     model, app = builder.build()
-    result = build_execution_model(model, place_variant=variant)
+    result = weave_sdf(model, place_variant=variant)
     return model, app, result
 
 
@@ -70,7 +70,7 @@ class TestNCyclesExecution:
     def test_execution_spans_cycles_steps(self):
         _model, _app, result = two_agent_model(cycles=(2, 0), capacity=2)
         engine_model = result.execution_model
-        simulation = Simulator(engine_model, AsapPolicy()).run(3)
+        simulation = simulate_model(engine_model, AsapPolicy(), 3)
         trace = simulation.trace
         # step 0: prod.start (with read of nothing); steps 1..2: exec,
         # the 2nd exec coincides with stop+write
@@ -83,7 +83,7 @@ class TestNCyclesExecution:
     def test_exec_never_outside_start_stop(self):
         _model, _app, result = two_agent_model(cycles=(3, 0), capacity=4)
         engine_model = result.execution_model
-        simulation = Simulator(engine_model, RandomPolicy(seed=3)).run(40)
+        simulation = simulate_model(engine_model, RandomPolicy(seed=3), 40)
         running = False
         for step in simulation.trace:
             if "prod.isExecuting" in step:
@@ -106,7 +106,7 @@ class TestPlaceSafety:
             push=push, pop=pop, capacity=capacity, delay=delay,
             variant=variant)
         engine_model = result.execution_model
-        simulation = Simulator(engine_model, RandomPolicy(seed=11)).run(30)
+        simulation = simulate_model(engine_model, RandomPolicy(seed=11), 30)
         assert simulation.steps_run > 0
         place_rt = next(c for c in engine_model.constraints
                         if "PlaceLimitation" in c.label)
@@ -135,9 +135,9 @@ class TestCrossValidationWithBaseline:
         builder.connect("src", "mid", push=2, pop=1, capacity=4, name="p0")
         builder.connect("mid", "snk", push=1, pop=2, capacity=4, name="p1")
         model, app = builder.build()
-        result = build_execution_model(model, place_variant=variant)
+        result = weave_sdf(model, place_variant=variant)
         engine_model = result.execution_model
-        simulation = Simulator(engine_model, RandomPolicy(seed=seed)).run(25)
+        simulation = simulate_model(engine_model, RandomPolicy(seed=seed), 25)
 
         tokens = TokenSimulator(app, multiport=(variant == "multiport"))
         for step in simulation.trace:
@@ -158,8 +158,8 @@ class TestCrossValidationWithBaseline:
         builder.connect("b", "c", push=1, pop=2, capacity=4)
         model, app = builder.build()
         repetition = repetition_vector(app)  # a:1, b:2, c:1
-        result = build_execution_model(model)
-        simulation = Simulator(result.execution_model, AsapPolicy()).run(60)
+        result = weave_sdf(model)
+        simulation = simulate_model(result.execution_model, AsapPolicy(), 60)
         counts = {name: simulation.trace.count(f"{name}.start")
                   for name in repetition}
         # over a long ASAP run the firing ratios approach the repetition
@@ -218,6 +218,6 @@ class TestExhaustiveExploration:
         builder.agent("c")
         builder.connect("p", "c", push=3, pop=1, capacity=2)
         model, _app = builder.build()
-        result = build_execution_model(model)
+        result = weave_sdf(model)
         space = explore(result.execution_model)
         assert not space.is_deadlock_free()

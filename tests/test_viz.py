@@ -1,7 +1,7 @@
 """Tests for the rendering helpers."""
 
-from repro.engine import AsapPolicy, Simulator, explore
-from repro.sdf import SdfBuilder, build_execution_model
+from repro.engine import AsapPolicy, explore, simulate_model
+from repro.sdf import SdfBuilder, weave_sdf
 from repro.viz import sdf_to_dot, statespace_report, trace_report
 
 
@@ -32,8 +32,8 @@ class TestSdfDot:
 class TestReports:
     def test_trace_report(self):
         model, _app = pipeline()
-        result = Simulator(build_execution_model(model).execution_model,
-                           AsapPolicy()).run(8)
+        result = simulate_model(weave_sdf(model).execution_model,
+                                AsapPolicy(), 8)
         report = trace_report(result.trace)
         assert "steps: 8" in report
         assert "occurrences:" in report
@@ -41,14 +41,14 @@ class TestReports:
 
     def test_trace_report_without_diagram(self):
         model, _app = pipeline()
-        result = Simulator(build_execution_model(model).execution_model,
-                           AsapPolicy()).run(4)
+        result = simulate_model(weave_sdf(model).execution_model,
+                                AsapPolicy(), 4)
         report = trace_report(result.trace, show_diagram=False)
         assert "X" not in report.splitlines()[-1] or "occurrences" in report
 
     def test_statespace_report(self):
         model, _app = pipeline()
-        space = explore(build_execution_model(model).execution_model)
+        space = explore(weave_sdf(model).execution_model)
         report = statespace_report(space)
         assert "states:" in report
         assert "parallelism histogram" in report
