@@ -129,6 +129,25 @@ class TestCorpusEquivalence:
         assert comparison.mismatches == []
         assert comparison.checks == 2 + 3
 
+    def test_mismatch_is_reported_not_hidden(self, monkeypatch):
+        # a symbolic layout that loses states must surface as one
+        # disagreement naming that layout, not pass silently
+        from repro.engine import explorer
+
+        real_explore = explorer.explore
+
+        def lossy(model, **options):
+            if options.get("relation_mode") == "monolithic":
+                options["max_states"] = 1
+            return real_explore(model, **options)
+
+        monkeypatch.setattr(explorer, "explore", lossy)
+        comparison = compare(sdf_chain(2), [], 10_000)
+        assert not comparison.agree
+        assert [m.kind for m in comparison.mismatches] == ["disagreement"]
+        assert "(monolithic)" in comparison.mismatches[0].detail
+        assert "states" in comparison.mismatches[0].detail
+
 
 class TestPropertyCrossCheck:
     """The property battery rides the corpus: every backend

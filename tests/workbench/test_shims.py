@@ -1,12 +1,21 @@
-"""Deprecated entry points: they warn, and they still delegate."""
+"""Removed entry points stay removed, and their replacements are
+warning-free.
 
+``Simulator``, ``build_execution_model`` and ``run_campaign`` were
+deprecated aliases of ``simulate_model``, ``weave_sdf`` and
+``campaign``; they are gone, so importing them fails loudly instead of
+warning, and nothing on the supported paths emits a
+``DeprecationWarning``.
+"""
+
+import importlib
 import warnings
 
 import pytest
 
-from repro.engine import AsapPolicy, Simulator, simulate_model
-from repro.engine.campaign import campaign, run_campaign
-from repro.sdf import SdfBuilder, build_execution_model, weave_sdf
+from repro.engine import AsapPolicy, simulate_model
+from repro.engine.campaign import campaign
+from repro.sdf import SdfBuilder, weave_sdf
 
 
 def two_agent_model():
@@ -17,22 +26,19 @@ def two_agent_model():
     return builder.build()
 
 
+class TestRemovedShims:
+    @pytest.mark.parametrize("module, name", [
+        ("repro.engine", "Simulator"),
+        ("repro.engine.simulator", "Simulator"),
+        ("repro.sdf", "build_execution_model"),
+        ("repro.sdf.mapping", "build_execution_model"),
+        ("repro.engine.campaign", "run_campaign"),
+    ])
+    def test_old_name_is_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+
+
 class TestBuildExecutionModelShim:
-    def test_warns(self):
-        model, _app = two_agent_model()
-        with pytest.warns(DeprecationWarning, match="weave_sdf"):
-            build_execution_model(model)
-
-    def test_identical_behavior(self):
-        model, _app = two_agent_model()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = build_execution_model(model, place_variant="multiport")
-        new = weave_sdf(model, place_variant="multiport")
-        assert old.execution_model.events == new.execution_model.events
-        assert [c.label for c in old.execution_model.constraints] \
-            == [c.label for c in new.execution_model.constraints]
-
     def test_new_name_does_not_warn(self):
         model, _app = two_agent_model()
         with warnings.catch_warnings():
@@ -41,25 +47,6 @@ class TestBuildExecutionModelShim:
 
 
 class TestSimulatorShim:
-    def test_warns_on_construction(self):
-        model, _app = two_agent_model()
-        woven = weave_sdf(model)
-        with pytest.warns(DeprecationWarning, match="simulate_model"):
-            Simulator(woven.execution_model.clone(), AsapPolicy())
-
-    def test_identical_behavior(self):
-        model, _app = two_agent_model()
-        woven = weave_sdf(model)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = Simulator(woven.execution_model.clone(),
-                            AsapPolicy()).run(10)
-        new = simulate_model(woven.execution_model.clone(), AsapPolicy(),
-                             10)
-        assert old.trace.steps == new.trace.steps
-        assert old.deadlocked == new.deadlocked
-        assert old.steps_run == new.steps_run
-
     def test_core_does_not_warn(self):
         model, _app = two_agent_model()
         woven = weave_sdf(model)
@@ -69,24 +56,14 @@ class TestSimulatorShim:
 
 
 class TestRunCampaignShim:
-    def test_warns(self):
-        model, _app = two_agent_model()
-        woven = weave_sdf(model)
-        with pytest.warns(DeprecationWarning, match="CampaignSpec"):
-            run_campaign(woven.execution_model, steps=5,
-                         watch_events=["p.start"])
-
-    def test_identical_behavior(self):
+    def test_campaign_does_not_warn(self):
         model, _app = two_agent_model()
         woven = weave_sdf(model)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = run_campaign(woven.execution_model, steps=8,
-                               watch_events=["p.start"])
-        new = campaign(woven.execution_model, steps=8,
-                       watch_events=["p.start"])
-        assert [row.as_dict() for row in old] \
-            == [row.as_dict() for row in new]
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = campaign(woven.execution_model, steps=8,
+                            watch_events=["p.start"])
+        assert rows
 
 
 class TestWorkbenchUsesNoDeprecatedPaths:
