@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import networkx as nx
-
 from repro.engine.execution_model import ExecutionModel
 from repro.engine.policies import AsapPolicy, SchedulingPolicy
 from repro.engine.simulator import simulate_model
@@ -73,8 +71,7 @@ def variable_bounds(model: ExecutionModel, space: StateSpace | None = None
     automaton_labels = {
         constraint.label for constraint in model.constraints
         if isinstance(constraint, AutomatonRuntime)}
-    for _node, data in space.graph.nodes(data=True):
-        configuration = data.get("key")
+    for configuration in space.keys:
         if configuration is None:
             continue
         for part in configuration:
@@ -117,40 +114,37 @@ def max_cycle_mean_throughput(space: StateSpace, event: str) -> float:
     """
     best = Fraction(0)
     for component in space.recurrent_components():
-        subgraph = space.graph.subgraph(component)
-        mean = _karp_max_cycle_mean(subgraph, event)
+        mean = _karp_max_cycle_mean(space, component, event)
         if mean is not None and mean > best:
             best = mean
     return float(best)
 
 
-def _karp_max_cycle_mean(graph: nx.MultiDiGraph, event: str) -> Fraction | None:
-    """Karp's algorithm on one strongly connected (multi)graph.
+def _karp_max_cycle_mean(space: StateSpace, component: set[int],
+                         event: str) -> Fraction | None:
+    """Karp's algorithm on one strongly connected *component* of
+    *space*.
 
     Edge weight = 1 if the step contains *event* else 0; the maximum
     cycle mean of those weights is occurrences-per-step.
     """
-    nodes = list(graph.nodes)
-    if not nodes:
-        return None
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    source = nodes[0]
+    index = {node: i for i, node in enumerate(component)}
+    n = len(index)
 
     # collapse parallel edges, keeping the max weight per (u, v)
     weights: dict[tuple[int, int], int] = {}
-    for u, v, data in graph.edges(data=True):
-        w = 1 if event in data["step"] else 0
-        key = (index[u], index[v])
-        if key not in weights or w > weights[key]:
-            weights[key] = w
+    for u in index:
+        for v, steps in space.out[u].items():
+            if v in index:
+                weights[index[u], index[v]] = int(
+                    any(event in step for step in steps))
     if not weights:
         return None
 
     minus_inf = float("-inf")
     # progression[k][v] = max weight of a k-edge walk from source to v
     progression = [[minus_inf] * n for _ in range(n + 1)]
-    progression[0][index[source]] = 0
+    progression[0][0] = 0  # any node of an SCC is a valid source
     for k in range(1, n + 1):
         row = progression[k]
         prev = progression[k - 1]
@@ -216,7 +210,7 @@ def check_mutual_exclusion(space: StateSpace, events: list[str]) -> bool:
     """True when no transition step contains two of *events* at once —
     used to verify processor mutual exclusion after deployment."""
     event_set = set(events)
-    for _u, _v, data in space.graph.edges(data=True):
-        if len(data["step"] & event_set) > 1:
+    for _u, _v, step in space.edges():
+        if len(step & event_set) > 1:
             return False
     return True

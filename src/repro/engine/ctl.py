@@ -600,26 +600,23 @@ class _ExplicitChecker:
 
     def __init__(self, space: StateSpace):
         self.space = space
-        graph = space.graph
-        self.all_nodes = frozenset(graph.nodes)
-        self.frontier = frozenset(
-            node for node, data in graph.nodes(data=True)
-            if data.get("frontier", False))
+        nodes = range(space.n_states)
+        self.all_nodes = frozenset(nodes)
+        self.frontier = frozenset(space.frontier)
         self.succ: dict[int, list[tuple[frozenset[str], int]]] = {}
-        self.pred: dict[int, set[int]] = {node: set() for node in graph.nodes}
-        for node in graph.nodes:
-            edges = [(data["step"], successor)
-                     for _u, successor, data in graph.out_edges(node,
-                                                                data=True)]
+        self.pred: dict[int, set[int]] = {node: set() for node in nodes}
+        for node in nodes:
+            edges = [(step, successor)
+                     for successor, step in space.successors(node)]
             edges.sort(key=lambda edge: (len(edge[0]), sorted(edge[0])))
             self.succ[node] = edges
             for _step, successor in edges:
                 self.pred[successor].add(node)
         self.must_dead = frozenset(
-            node for node in graph.nodes
+            node for node in nodes
             if not self.succ[node] and node not in self.frontier)
         self.may_dead = frozenset(
-            node for node in graph.nodes if not self.succ[node])
+            node for node in nodes if not self.succ[node])
         self._memo: dict[Prop, tuple[frozenset, frozenset]] = {}
         self._keys: dict[int, tuple] | None = None
         #: atom-evaluation notes (possible typos), keyed by atom
@@ -629,16 +626,12 @@ class _ExplicitChecker:
 
     def _node_keys(self) -> dict[int, tuple]:
         if self._keys is None:
-            keys = {}
-            for node, data in self.space.graph.nodes(data=True):
-                key = data.get("key")
-                if key is None:
-                    raise EngineError(
-                        "this state space carries no configuration keys "
-                        "(was it reloaded from JSON?); state()/var() atoms "
-                        "need a freshly explored space")
-                keys[node] = key
-            self._keys = keys
+            if None in self.space.keys:
+                raise EngineError(
+                    "this state space carries no configuration keys "
+                    "(was it reloaded from JSON?); state()/var() atoms "
+                    "need a freshly explored space")
+            self._keys = dict(enumerate(self.space.keys))
         return self._keys
 
     def _key_set(self, match) -> frozenset:

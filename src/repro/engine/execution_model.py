@@ -172,18 +172,13 @@ class SymbolicKernel:
             self._ts_cache.put(key, system)
         return system
 
-    def engine_telemetry(self) -> dict[str, object] | None:
+    def telemetry(self) -> dict[str, object] | None:
         """Aggregate telemetry over the cached transition systems (see
         :meth:`TransitionSystem.telemetry
         <repro.engine.symbolic.TransitionSystem.telemetry>`) — peak BDD
         nodes and reorders maximized, image/preimage counts summed, the
         per-system records under ``"systems"``. ``None`` when nothing
-        symbolic ran.
-
-        Prefer :func:`repro.obs.engine_snapshot` in new code — it
-        accepts a kernel, model, handle, system or reachable set and
-        routes here when appropriate; this method stays as the
-        kernel-level view it dispatches to."""
+        symbolic ran."""
         records = [system.telemetry()
                    for system in self._ts_cache.values()]
         if not records:

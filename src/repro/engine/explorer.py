@@ -2,10 +2,11 @@
 
 From the initial configuration, the explorer enumerates every
 acceptable (non-empty) step and builds a
-:class:`~repro.engine.statespace.StateSpace` — a directed multigraph
-whose nodes are global constraint configurations and whose edges are
-steps. This implements the paper's "exhaustive exploration" usage of the
-generic engine.
+:class:`~repro.engine.statespace.StateSpace` — an adjacency store whose
+states are global constraint configurations, numbered in admission
+order, and whose transitions are steps, grouped per source by
+successor in first-reached order. This implements the paper's
+"exhaustive exploration" usage of the generic engine.
 
 Two strategies drive the same breadth-first skeleton:
 
@@ -30,8 +31,6 @@ literally shared.
 from __future__ import annotations
 
 from collections import deque
-
-import networkx as nx
 
 from repro import obs
 from repro.engine.execution_model import ExecutionModel
@@ -140,29 +139,27 @@ def _bfs(work, name: str, events: list[str], max_states: int,
     identical across strategies by construction.
     """
     obs.count("explore.spaces")
-    graph = nx.MultiDiGraph()
+    space = StateSpace(initial=0, events=events, name=name,
+                       maximal_only=maximal_only)
     root_key = work.configuration()
 
     key_to_id: dict = {root_key: 0}
-    graph.add_node(0, accepting=work.is_accepting(), depth=0, key=root_key)
+    space.add_state(work.is_accepting(), 0, root_key)
     #: BFS frontier of (snapshot token, configuration key, node id, depth)
     frontier: deque = deque([(work.snapshot(), root_key, 0, 0)])
     with obs.span("explore.bfs", model=name) as trace:
-        truncated = _bfs_loop(work, graph, key_to_id, frontier, name,
-                              max_states=max_states, max_depth=max_depth,
-                              include_empty=include_empty, strict=strict,
-                              maximal_only=maximal_only)
-        trace.set(states=graph.number_of_nodes(),
-                  transitions=graph.number_of_edges(), truncated=truncated)
-
-    return StateSpace(graph=graph, initial=0, events=events,
-                      truncated=truncated, name=name,
-                      maximal_only=maximal_only)
+        space.truncated = _bfs_loop(
+            work, space, key_to_id, frontier, name, max_states=max_states,
+            max_depth=max_depth, include_empty=include_empty, strict=strict,
+            maximal_only=maximal_only)
+        trace.set(states=space.n_states, transitions=space.n_transitions,
+                  truncated=space.truncated)
+    return space
 
 
-def _bfs_loop(work, graph, key_to_id: dict, frontier: deque, name: str,
-              max_states: int, max_depth: int | None, include_empty: bool,
-              strict: bool, maximal_only: bool) -> bool:
+def _bfs_loop(work, space: StateSpace, key_to_id: dict, frontier: deque,
+              name: str, max_states: int, max_depth: int | None,
+              include_empty: bool, strict: bool, maximal_only: bool) -> bool:
     """The admission loop of :func:`_bfs`, factored out so the whole
     walk sits under one ``explore.bfs`` span; returns the truncation
     flag."""
@@ -171,7 +168,7 @@ def _bfs_loop(work, graph, key_to_id: dict, frontier: deque, name: str,
     while frontier:
         snapshot, current_key, node_id, depth = frontier.popleft()
         if max_depth is not None and depth >= max_depth:
-            graph.nodes[node_id]["frontier"] = True
+            space.frontier.add(node_id)
             truncated = True
             continue
         work.restore(snapshot)
@@ -193,16 +190,15 @@ def _bfs_loop(work, graph, key_to_id: dict, frontier: deque, name: str,
                             f"exploration of {name!r} exceeded "
                             f"{max_states} states")
                     truncated = True
-                    graph.nodes[node_id]["frontier"] = True
+                    space.frontier.add(node_id)
                     work.restore(snapshot)
                     continue
-                succ_id = len(key_to_id)
+                succ_id = space.add_state(work.is_accepting(), depth + 1,
+                                          succ_key)
                 key_to_id[succ_key] = succ_id
-                graph.add_node(succ_id, accepting=work.is_accepting(),
-                               depth=depth + 1, key=succ_key)
                 frontier.append((work.snapshot(), succ_key, succ_id,
                                  depth + 1))
-            graph.add_edge(node_id, succ_id, step=step)
+            space.add_edge(node_id, succ_id, step)
             work.restore(snapshot)
 
     return truncated

@@ -84,8 +84,7 @@ def always(space: StateSpace, predicate: StepPredicate) -> Verdict:
     of one verifies it only when the space is complete (``UNKNOWN``
     otherwise).
     """
-    violated = any(not predicate(data["step"])
-                   for _u, _v, data in space.graph.edges(data=True))
+    violated = any(not predicate(step) for _u, _v, step in space.edges())
     if violated:
         return Verdict.FAILS
     return Verdict.UNKNOWN if _partial(space) else Verdict.HOLDS
@@ -104,8 +103,7 @@ def eventually_reachable(space: StateSpace,
     space; the absence of one refutes it only when the space is
     complete (``UNKNOWN`` otherwise).
     """
-    found = any(predicate(data["step"])
-                for _u, _v, data in space.graph.edges(data=True))
+    found = any(predicate(step) for _u, _v, step in space.edges())
     if found:
         return Verdict.HOLDS
     return Verdict.UNKNOWN if _partial(space) else Verdict.FAILS
@@ -120,8 +118,7 @@ def counterexample_path(space: StateSpace, predicate: StepPredicate
     queue: deque[int] = deque([space.initial])
     while queue:
         node = queue.popleft()
-        for _u, successor, data in space.graph.out_edges(node, data=True):
-            step = data["step"]
+        for successor, step in space.successors(node):
             if predicate(step):
                 path = [step]
                 cursor = node
@@ -150,8 +147,8 @@ def _avoidance_traps(space: StateSpace, predicate: StepPredicate
     """
     adjacency: dict[int, list[int]] = {}
     reverse: dict[int, list[int]] = {}
-    for u, v, data in space.graph.edges(data=True):
-        if predicate(data["step"]):
+    for u, v, step in space.edges():
+        if predicate(step):
             continue
         adjacency.setdefault(u, []).append(v)
         reverse.setdefault(v, []).append(u)
@@ -165,7 +162,8 @@ def _avoidance_traps(space: StateSpace, predicate: StepPredicate
     # contains every avoiding cycle
     out_degree = {u: len(targets) for u, targets in adjacency.items()}
     stripped = deque(
-        node for node in space.graph.nodes if out_degree.get(node, 0) == 0)
+        node for node in range(space.n_states)
+        if out_degree.get(node, 0) == 0)
     removed: set[int] = set()
     while stripped:
         node = stripped.popleft()
@@ -176,7 +174,8 @@ def _avoidance_traps(space: StateSpace, predicate: StepPredicate
             out_degree[predecessor] -= 1
             if out_degree[predecessor] == 0:
                 stripped.append(predecessor)
-    seeds.update(node for node in space.graph.nodes if node not in removed)
+    seeds.update(node for node in range(space.n_states)
+                 if node not in removed)
 
     # backward closure: anything that reaches a seed through avoiding
     # edges is itself a trap
@@ -223,8 +222,7 @@ def leads_to(space: StateSpace, trigger: StepPredicate,
             "leads-to is undecidable on a truncated or maximal_only "
             "state space")
     traps = _avoidance_traps(space, target)
-    sources = {v for _u, v, data in space.graph.edges(data=True)
-               if trigger(data["step"])}
+    sources = {v for _u, v, step in space.edges() if trigger(step)}
     if sources & traps:
         return Verdict.FAILS
     return Verdict.HOLDS

@@ -733,12 +733,7 @@ class TransitionSystem:
         BDD nodes (the table is append-only, so the total *is* the
         peak), dynamic-reorder count, image/preimage iterations and
         operation-cache hit rates. Never part of canonical artifacts —
-        counters depend on evaluation history, not on the model.
-
-        Prefer :func:`repro.obs.engine_snapshot` in new code — it
-        resolves any engine-ish object (handle, kernel, reachable set,
-        or this system) to this document through one API; this method
-        stays as the per-system view it dispatches to."""
+        counters depend on evaluation history, not on the model."""
         bdd = self.bdd
         return {
             "relation_mode": self.relation_mode,

@@ -197,9 +197,7 @@ def _space_facts(space) -> dict:
         "states": space.n_states,
         "transitions": space.n_transitions,
         "truncated": space.truncated,
-        "reachable keys": {
-            data["key"] for _node, data in space.graph.nodes(data=True)
-        },
+        "reachable keys": set(space.keys),
         "serialized space": space.to_json(),
     }
 

@@ -169,10 +169,9 @@ def engine_snapshot(source) -> dict | None:
     The one snapshot API every consumer shares (``repro ... --json``,
     the benchmarks' ``extra_info["engine"]``, tests): accepts a
     ``ReachableSet`` (its system's telemetry), a ``TransitionSystem``
-    (its telemetry), a ``SymbolicKernel`` (its aggregate
-    ``engine_telemetry``), or an ``ExecutionModel``/handle whose kernel
-    — if one was ever materialized — is summarized without allocating
-    one. Returns ``None`` when there is nothing symbolic to report.
+    (its telemetry), a ``SymbolicKernel`` (its aggregate telemetry), or
+    an ``ExecutionModel``/handle whose kernel — if one was ever
+    materialized — is summarized without allocating one. Returns ``None`` when there is nothing symbolic to report.
     """
     if source is None:
         return None
@@ -181,11 +180,7 @@ def engine_snapshot(source) -> dict | None:
     if system is not None and hasattr(system, "telemetry"):
         return system.telemetry()
     if hasattr(source, "telemetry"):
-        return source.telemetry()  # a TransitionSystem itself
-    if hasattr(source, "engine_telemetry"):
-        return source.engine_telemetry()  # a SymbolicKernel
+        return source.telemetry()  # a TransitionSystem or SymbolicKernel
     model = getattr(source, "execution_model", source)  # handles
     kernel = getattr(model, "_kernel", None)
-    if kernel is not None and hasattr(kernel, "engine_telemetry"):
-        return kernel.engine_telemetry()
-    return None
+    return None if kernel is None else kernel.telemetry()

@@ -39,6 +39,10 @@ from repro.serve.state import ModelCache, ServeError
 #: the canonical result documents it carries)
 PROTOCOL = 1
 
+#: the largest request body ``POST /run`` reads; a longer declared
+#: ``Content-Length`` is answered 413 before any byte is read
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 def split_document(document) -> tuple[dict, list]:
     """``(models, runs)`` from a request/batch document.
@@ -257,8 +261,26 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/run":
             self._send_json(404, {"error": f"no route {self.path!r}"})
             return
+        # validate the declared length before reading: a negative one
+        # reads to EOF and a huge one waits for bytes that never come,
+        # either way pinning this thread while the client holds the
+        # socket open
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            self.service.metrics.count("requests_failed")
+            if length < 0:
+                self._send_json(400, {
+                    "error": "Content-Length must be a non-negative "
+                             "integer"})
+            else:
+                self._send_json(413, {
+                    "error": f"request body of {length} bytes exceeds "
+                             f"the {MAX_BODY_BYTES}-byte limit"})
+            return
+        try:
             document = json.loads(self.rfile.read(length) or b"null")
         except (ValueError, OSError) as exc:
             self.service.metrics.count("requests_failed")

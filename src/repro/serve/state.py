@@ -18,7 +18,7 @@ a thundering herd compiles once, not N times.
 Eviction is a two-bound LRU: ``max_models`` caps the entry count and
 ``max_nodes`` caps the *resident BDD-node total* across every cached
 kernel (measured through ``SymbolicKernel.cache_sizes()`` and
-:meth:`~repro.engine.execution_model.SymbolicKernel.engine_telemetry`,
+:meth:`~repro.engine.execution_model.SymbolicKernel.telemetry`,
 so heavyweight transition relations count). Evicting an entry calls
 ``clear_caches()`` on its execution model, detaching the kernel so the
 BDD managers become garbage the moment in-flight runs complete; an
@@ -63,7 +63,7 @@ def resident_nodes(handle) -> int:
     if kernel is None:
         return 0
     total = kernel.cache_sizes()["bdd_nodes"]
-    telemetry = kernel.engine_telemetry()
+    telemetry = kernel.telemetry()
     if telemetry is not None:
         total += sum(record["bdd_nodes"]
                      for record in telemetry["systems"])

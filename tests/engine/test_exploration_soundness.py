@@ -11,7 +11,8 @@ checked against independent machinery:
 * *determinism* — exploring twice yields the same graph.
 """
 
-import networkx as nx
+from collections import deque
+
 import pytest
 
 from repro.engine import (
@@ -37,12 +38,20 @@ def small_model():
 
 def replay_to(space, model, target):
     """Drive a clone of *model* along a shortest path to *target*."""
-    path = nx.shortest_path(space.graph, space.initial, target)
+    reached = {space.initial: None}  # node -> (predecessor, step)
+    queue = deque([space.initial])
+    while target not in reached:
+        node = queue.popleft()
+        for successor, step in space.successors(node):
+            if successor not in reached:
+                reached[successor] = (node, step)
+                queue.append(successor)
+    steps = []
+    while reached[target] is not None:
+        target, step = reached[target]
+        steps.append(step)
     clone = model.clone()
-    for previous, current in zip(path, path[1:]):
-        step = next(data["step"] for _u, v, data
-                    in space.graph.out_edges(previous, data=True)
-                    if v == current)
+    for step in reversed(steps):
         clone.advance(step)
     return clone
 
@@ -52,21 +61,18 @@ class TestSoundness:
         model = small_model()
         space = explore(model, max_states=5000)
         assert not space.truncated
-        for node in space.graph.nodes:
+        for node in range(space.n_states):
             replayed = replay_to(space, model, node)
-            expected = set()
-            for _u, _v, data in space.graph.out_edges(node, data=True):
-                expected.add(data["step"])
+            expected = {step for _v, step in space.successors(node)}
             actual = set(replayed.acceptable_steps())
             assert expected == actual, f"node {node} disagrees"
 
     def test_configuration_keys_match_replay(self):
         model = small_model()
         space = explore(model, max_states=5000)
-        for node in list(space.graph.nodes)[:10]:
+        for node in range(10):
             replayed = replay_to(space, model, node)
-            assert replayed.configuration() == \
-                space.graph.nodes[node]["key"]
+            assert replayed.configuration() == space.keys[node]
 
 
 class TestCompleteness:
@@ -80,8 +86,8 @@ class TestCompleteness:
         node = space.initial
         for step in simulation.trace:
             successors = [
-                v for _u, v, data in space.graph.out_edges(node, data=True)
-                if data["step"] == step]
+                v for v, edge_step in space.successors(node)
+                if edge_step == step]
             assert successors, f"step {sorted(step)} missing from node {node}"
             node = successors[0]
 
@@ -93,9 +99,7 @@ class TestDeterminism:
         assert first.n_states == second.n_states
         assert first.n_transitions == second.n_transitions
         first_edges = sorted(
-            (u, v, tuple(sorted(data["step"])))
-            for u, v, data in first.graph.edges(data=True))
+            (u, v, tuple(sorted(step))) for u, v, step in first.edges())
         second_edges = sorted(
-            (u, v, tuple(sorted(data["step"])))
-            for u, v, data in second.graph.edges(data=True))
+            (u, v, tuple(sorted(step))) for u, v, step in second.edges())
         assert first_edges == second_edges

@@ -1,5 +1,7 @@
 """Tests for state-space persistence, model copy, and failure injection."""
 
+import json
+
 import pytest
 
 from repro.boolalg.expr import TRUE
@@ -51,6 +53,32 @@ class TestStateSpacePersistence:
         with pytest.raises(SerializationError):
             StateSpace.from_json(
                 '{"kind": "statespace", "format": 9, "name": "x"}')
+        # a corrupt graph must not load as a different space (a
+        # dangling edge target once became a phantom deadlock)
+        corruptions = {
+            "edge to a missing id": lambda doc: doc["edges"].append(
+                {"source": 0, "target": 7, "step": []}),
+            "edge from a negative id": lambda doc: doc["edges"].append(
+                {"source": -1, "target": 0, "step": []}),
+            "non-integer endpoint":
+                lambda doc: doc["edges"][0].update(target="1"),
+            "edge without step": lambda doc: doc["edges"][0].pop("step"),
+            "node without accepting":
+                lambda doc: doc["nodes"][1].pop("accepting"),
+            "gap in node ids": lambda doc: doc["nodes"][1].update(id=5),
+            "node ids out of order": lambda doc: doc["nodes"].reverse(),
+            "no initial": lambda doc: doc.pop("initial"),
+            "initial not a node":
+                lambda doc: doc.update(initial=len(doc["nodes"])),
+            "no events": lambda doc: doc.pop("events"),
+            "nodes not a list": lambda doc: doc.update(nodes=None),
+        }
+        for what, corrupt in corruptions.items():
+            doc = json.loads(self.space().to_json())
+            corrupt(doc)
+            with pytest.raises(SerializationError):
+                StateSpace.from_doc(doc)
+                pytest.fail(f"accepted a document with {what}")
 
 
 class TestModelCopy:

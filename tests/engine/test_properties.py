@@ -1,6 +1,8 @@
 """Tests for property checking over state spaces (AG/EF/AF/leads-to),
 including the three-valued verdicts on truncated spaces."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ccsl import AlternatesRuntime, PrecedesRuntime
@@ -16,7 +18,6 @@ from repro.engine.properties import (
     occurs,
     together,
 )
-from repro.engine.statespace import StateSpace
 
 
 def alternation_space():
@@ -221,7 +222,7 @@ class TestEdgeCases:
         # mutual precedence deadlocks immediately: one state, no steps
         space = deadlock_space()
         assert space.n_states == 1
-        assert space.graph.number_of_edges() == 0
+        assert space.n_transitions == 0
         assert always(space, occurs("a")) is Verdict.HOLDS  # vacuous
         assert eventually_reachable(space, occurs("a")) is Verdict.FAILS
         assert inevitable(space, occurs("a")) is Verdict.FAILS  # deadlock
@@ -231,8 +232,7 @@ class TestEdgeCases:
         # truncation frontier nodes have no outgoing edges but are NOT
         # deadlocks; inevitability refuses to guess either way
         space = truncated_space()
-        frontier = [node for node, data in space.graph.nodes(data=True)
-                    if data.get("frontier")]
+        frontier = sorted(space.frontier)
         assert frontier
         assert not set(space.deadlocks()) & set(frontier)
 
@@ -244,12 +244,10 @@ class TestEdgeCases:
 def naive_leads_to(space, trigger, target):
     """The pre-optimization implementation: rebuild a state space and
     re-run inevitability per trigger source — the regression oracle."""
-    sources = {v for _u, v, data in space.graph.edges(data=True)
-               if trigger(data["step"])}
+    sources = {v for _u, v, step in space.edges() if trigger(step)}
     for source in sources:
-        sub_space = StateSpace(graph=space.graph, initial=source,
-                               events=space.events, truncated=False,
-                               name=f"{space.name}@{source}")
+        sub_space = replace(space, initial=source, truncated=False,
+                            name=f"{space.name}@{source}")
         if inevitable(sub_space, target) is Verdict.FAILS:
             return Verdict.FAILS
     return Verdict.HOLDS

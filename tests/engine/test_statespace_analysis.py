@@ -1,10 +1,13 @@
 """Tests for state-space metrics, analyses, latency and projections."""
 
+import sys
+
 import pytest
 
 from repro.engine import (
     AsapPolicy,
     ExecutionModel,
+    StateSpace,
     Trace,
     event_liveness,
     explore,
@@ -65,6 +68,48 @@ class TestStateSpaceMetrics:
         assert profile["max"] >= 3.0
         assert 0 < profile["mean"] <= profile["max"]
         assert profile["transitions"] == float(space.n_transitions)
+
+
+def mutual_reachability_classes(space):
+    """Recurrent components by brute force: per-node forward closure,
+    then classes of mutually reachable nodes that contain a cycle."""
+    reach = []
+    for node in range(space.n_states):
+        seen, stack = set(), list(space.out[node])
+        while stack:
+            current = stack.pop()
+            if current not in seen:
+                seen.add(current)
+                stack.extend(space.out[current])
+        reach.append(seen)
+    return {frozenset(other for other in range(space.n_states)
+                      if other in reach[node] and node in reach[other])
+            for node in range(space.n_states) if node in reach[node]}
+
+
+class TestRecurrentComponents:
+    @pytest.mark.parametrize("name", ["ccsl-mix", "ccsl-filters",
+                                      "forkjoin-cap2", "chain3-strict",
+                                      "formula-only"])
+    def test_match_mutual_reachability(self, name):
+        from tests.engine.test_symbolic_equivalence import CORPUS
+        for max_states in (25, 2_000):  # truncated and complete
+            space = explore(CORPUS[name](), max_states=max_states)
+            found = space.recurrent_components()
+            assert len(found) == len({frozenset(c) for c in found})
+            assert {frozenset(c) for c in found} == \
+                mutual_reachability_classes(space)
+
+    def test_deep_space_needs_no_recursion(self):
+        depth = max(5_000, sys.getrecursionlimit() + 1)
+        space = StateSpace(events=["a"])
+        for node in range(depth):
+            space.add_state(True, node)
+            if node:
+                space.add_edge(node - 1, node, frozenset({"a"}))
+        assert space.recurrent_components() == []
+        space.add_edge(depth - 1, 0, frozenset({"a"}))
+        assert space.recurrent_components() == [set(range(depth))]
 
 
 class TestMaximalOnlyExploration:

@@ -1,11 +1,14 @@
 """StateSpace JSON round-trips and maximal-only exploration agreement."""
 
+import hashlib
+
 import pytest
 
 from repro.ccsl import AlternatesRuntime, PrecedesRuntime
 from repro.engine import ExecutionModel, StateSpace, explore
 from repro.errors import SerializationError
 from repro.sdf import SdfBuilder, weave_sdf
+from repro.workbench import CcslSpec, load
 
 
 def sdf_chain(length=3, capacity=2):
@@ -18,6 +21,22 @@ def sdf_chain(length=3, capacity=2):
     return weave_sdf(model).execution_model
 
 
+def test_canonical_edge_order_is_pinned():
+    """Edge order is part of the canonical bytes: per source, edges are
+    grouped by successor, successors in first-reached order (a plain
+    per-source edge list reorders this space)."""
+    space = explore(load(CcslSpec(
+        "edge-order", events=["e0", "e1", "e2", "e3", "e4"],
+        constraints=[("Alternates", ["e0", "e1"]),
+                     ("BoundedPrecedes", ["e1", "e2", 2]),
+                     ("DelayedFor", ["e2", "e3", 2]),
+                     ("SubClock", ["e3", "e4"])])).execution_model)
+    assert (space.n_states, space.n_transitions) == (18, 77)
+    digest = hashlib.sha256(space.to_json().encode()).hexdigest()
+    assert digest == ("03a3c40d91340afec18953516219ea44"
+                      "f431d1318c797522d61006ff5f9e64fb")
+
+
 class TestToFromJson:
     def test_round_trip_preserves_everything(self):
         space = explore(sdf_chain(), max_states=5000)
@@ -27,30 +46,21 @@ class TestToFromJson:
         assert reloaded.truncated == space.truncated
         assert reloaded.events == space.events
         assert reloaded.summary() == space.summary()
-        for node, data in space.graph.nodes(data=True):
-            rdata = reloaded.graph.nodes[node]
-            assert rdata["accepting"] == data["accepting"]
-            assert rdata["depth"] == data["depth"]
-        edges = sorted((u, v, tuple(sorted(d["step"])))
-                       for u, v, d in space.graph.edges(data=True))
-        redges = sorted((u, v, tuple(sorted(d["step"])))
-                        for u, v, d in reloaded.graph.edges(data=True))
-        assert edges == redges
+        assert reloaded.accepting == space.accepting
+        assert reloaded.depth == space.depth
+        assert reloaded.keys == [None] * space.n_states
+        assert list(reloaded.edges()) == list(space.edges())
 
     def test_round_trip_preserves_frontier_and_truncated(self):
         # unbounded precedence -> infinite space -> truncation via depth
         model = ExecutionModel(["a", "b"], [PrecedesRuntime("a", "b")])
         space = explore(model, max_states=5000, max_depth=3)
         assert space.truncated
-        frontier = {node for node, data in space.graph.nodes(data=True)
-                    if data.get("frontier")}
-        assert frontier, "depth-bounded exploration must mark frontier nodes"
+        assert space.frontier, \
+            "depth-bounded exploration must mark frontier nodes"
         reloaded = StateSpace.from_json(space.to_json())
         assert reloaded.truncated
-        refrontier = {node for node, data
-                      in reloaded.graph.nodes(data=True)
-                      if data.get("frontier")}
-        assert refrontier == frontier
+        assert reloaded.frontier == space.frontier
         # frontier nodes are not deadlocks in either copy
         assert reloaded.deadlocks() == space.deadlocks()
         assert reloaded.summary() == space.summary()

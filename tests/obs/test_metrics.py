@@ -130,4 +130,4 @@ class TestEngineSnapshot:
         kernel.transition_system(model)
         by_kernel = obs.engine_snapshot(kernel)
         by_model = obs.engine_snapshot(model)
-        assert by_kernel == by_model == kernel.engine_telemetry()
+        assert by_kernel == by_model == kernel.telemetry()

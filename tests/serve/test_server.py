@@ -2,14 +2,17 @@
 write-through, concurrency, and drain semantics."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.serve import (ServeError, fetch_metrics, ping, run_local,
                          serve, submit)
+from repro.serve.server import MAX_BODY_BYTES
 
 CHAIN = """
 application serve_chain {
@@ -292,3 +295,25 @@ class TestJsonEnvelope:
         assert summary["done"] is True
         assert summary["runs"] == 4
         assert summary["errors"] == 0
+
+
+class TestBodyLength:
+    """A bad declared ``Content-Length`` is answered at once, even when
+    the client keeps its write side open and sends no body."""
+
+    def raw_status(self, server, length):
+        parts = urlsplit(server.url)
+        with socket.create_connection((parts.hostname, parts.port),
+                                      timeout=5) as sock:
+            sock.sendall(f"POST /run HTTP/1.0\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            reply = sock.recv(4096)  # a hang times out after 5 s
+        return int(reply.split()[1])
+
+    @pytest.mark.parametrize("length,status", [
+        ("-1", 400), ("twelve", 400), ("99999999999", 413),
+        (str(MAX_BODY_BYTES + 1), 413)])
+    def test_rejected_before_reading(self, server, length, status):
+        assert self.raw_status(server, length) == status
+        metrics = fetch_metrics(server.url)
+        assert metrics["counters"]["requests_failed"] == 1

@@ -24,7 +24,7 @@ class FakeKernel:
     def cache_sizes(self):
         return {"bdd_nodes": self._nodes}
 
-    def engine_telemetry(self):
+    def telemetry(self):
         return None
 
 
