@@ -2,33 +2,25 @@
 """Concurrency-aware analysis: checking properties of all schedules.
 
 The paper motivates the explicit MoCC with "the effective usage of
-concurrency-aware analysis techniques". This example runs the standard
-finite-state checks over the *complete* scheduling state space of a
-small sensor pipeline:
+concurrency-aware analysis techniques". This example asks questions
+about every acceptable schedule of a small sensor pipeline, each one
+as CTL text through one checker (``workbench.check``):
 
-* safety  — the place never overflows, mutual exclusion holds;
+* safety — the place never overflows, mutual exclusion holds;
 * reachability — the sink can fire (with a shortest witness schedule);
 * inevitability / leads-to — every source firing is eventually followed
   by a sink firing, under every acceptable schedule;
 * divergence — which properties break when the MoCC changes.
 
-Both the infinite-resource model and its deployment are handles in one
-workbench session; exploration results carry the full state space, so
-the property checkers run straight off ``result.statespace()``.
+Step-level questions ("these two never fire together", "every run fires
+log") use the step label of ``EX[σ]``/``EG[σ]``: the path may only take
+steps satisfying ``σ``, where ``occurs(e)`` means "``e`` is in the
+step". Every check runs on the explicit or the symbolic backend alike.
 
 Run: python examples/property_checking.py
 """
 
 from repro.deployment import Allocation, Platform
-from repro.engine.properties import (
-    counterexample_path,
-    eventually_reachable,
-    inevitable,
-    leads_to,
-    never,
-    occurs,
-    together,
-)
 from repro.sdf import SdfBuilder
 from repro.workbench import DeploymentSpec, Workbench
 
@@ -43,39 +35,57 @@ def build_pipeline():
     return builder
 
 
+def together(first: str, second: str) -> str:
+    """The step label "*first* and *second* fire in the same step"."""
+    return f"occurs({first}.start) & occurs({second}.start)"
+
+
+def report(workbench: Workbench, model: str, question: str, text: str,
+           strategy: str = "auto") -> dict:
+    data = workbench.check(model, text, strategy=strategy).data
+    print(f"  {question:50s} {data['verdict'].upper()}")
+    return data
+
+
 def main() -> None:
     workbench = Workbench()
     workbench.add(build_pipeline(), name="sensor")
-    space = workbench.explore("sensor", include_graph=True).statespace()
-    print(f"explored {space.n_states} states / "
-          f"{space.n_transitions} transitions (complete: "
-          f"{not space.truncated})\n")
+    summary = workbench.explore("sensor").data["summary"]
+    print(f"explored {summary['states']} states / "
+          f"{summary['transitions']} transitions (complete: "
+          f"{not summary['truncated']})\n")
 
     # -- safety ---------------------------------------------------------
     # adjacent agents share a place; the base MoCC forbids simultaneous
     # read/write, so they can never fire in the same step
     print("safety:")
-    print("  sense and proc never fire together:",
-          never(space, together("sense.start", "proc.start")))
-    print("  sense and log CAN fire together (no shared place):",
-          not never(space, together("sense.start", "log.start")))
+    report(workbench, "sensor", "sense and proc never fire together",
+           f"AG !EX[{together('sense', 'proc')}] true")
+    report(workbench, "sensor", "sense and log never fire together",
+           f"AG !EX[{together('sense', 'log')}] true")
+    report(workbench, "sensor", "the raw place never overflows",
+           "AG var(PlaceLimitation@Place:raw.size) <= 2")
+    report(workbench, "sensor", "no deadlock", "AG !deadlock")
 
     # -- reachability with witness ----------------------------------------
     print("\nreachability:")
-    print("  the log agent can fire:",
-          eventually_reachable(space, occurs("log.start")))
-    witness = counterexample_path(space, occurs("log.start"))
-    print("  shortest schedule reaching it:")
-    for index, step in enumerate(witness):
+    report(workbench, "sensor", "the log agent can fire",
+           "EF EX[occurs(log.start)] true")
+    # the counterexample of "log never fires" is the shortest schedule
+    # ending with a log firing
+    refuted = report(workbench, "sensor", "log never fires",
+                     "AG !EX[occurs(log.start)] true")
+    print("  shortest schedule reaching a log firing:")
+    for index, step in enumerate(refuted["trace"]):
         fired = sorted(e for e in step if e.endswith(".start"))
         print(f"    step {index}: {fired}")
 
     # -- liveness ------------------------------------------------------------
     print("\nliveness (over ALL acceptable schedules):")
-    print("  log firing is inevitable:",
-          inevitable(space, occurs("log.start")))
-    print("  every sense firing leads to a log firing:",
-          leads_to(space, occurs("sense.start"), occurs("log.start")))
+    report(workbench, "sensor", "every run fires log",
+           "!EG[!occurs(log.start)] true")
+    report(workbench, "sensor", "every sense firing leads to a log firing",
+           "AG !EX[occurs(sense.start)] EG[!occurs(log.start)] true")
 
     # -- the same checks after deployment --------------------------------------
     platform = Platform("mono")
@@ -86,32 +96,14 @@ def main() -> None:
             deployment=(platform, Allocation(
                 {"sense": "cpu", "proc": "cpu", "log": "cpu"}))),
         name="deployed")
-    deployed_space = workbench.explore(
-        "deployed", include_graph=True).statespace()
-    print("\nafter mono-processor deployment:")
-    print("  sense and log never fire together anymore:",
-          never(deployed_space, together("sense.start", "log.start")))
-    print("  log firing still inevitable:",
-          inevitable(deployed_space, occurs("log.start")))
+    print("\nafter mono-processor deployment (symbolic backend):")
+    report(workbench, "deployed", "sense and log never fire together",
+           f"AG !EX[{together('sense', 'log')}] true", strategy="symbolic")
+    report(workbench, "deployed", "every run fires log",
+           "!EG[!occurs(log.start)] true", strategy="symbolic")
     print("\nThe deployment changed the safety landscape (full mutual "
           "exclusion) while preserving liveness — checked over every "
           "schedule, not just one simulation.")
-
-    # -- the unified checker: one property text, any backend ---------------
-    # The same questions as CTL text, answered through CheckSpec — and by
-    # the symbolic backend, which never builds the graph at all.
-    print("\nunified checker (repro check / CheckSpec):")
-    for text in ("AG !deadlock",
-                 "AF occurs(log.start)",
-                 "occurs(sense.start) leads_to occurs(log.start)",
-                 "AG var(PlaceLimitation@Place:raw.size) <= 2"):
-        result = workbench.check("sensor", text, strategy="symbolic")
-        print(f"  {text:55s} {result.data['verdict'].upper()}")
-    refuted = workbench.check("sensor", "AG occurs(sense.start)")
-    print(f"  {'AG occurs(sense.start)':55s} "
-          f"{refuted.data['verdict'].upper()} "
-          f"(counterexample of {len(refuted.data['trace'])} step(s), "
-          f"replayable via result.trace())")
 
 
 if __name__ == "__main__":

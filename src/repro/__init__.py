@@ -74,8 +74,11 @@ library call                                 workbench equivalent
 ``simulate_model(model, AsapPolicy(), n)``   ``wb.simulate(name, policy="asap",
                                              steps=n)``
 ``explore(model, max_states=n)``             ``wb.explore(name, max_states=n)``
-``properties.always/never/...(space, p)``    ``wb.check(name, "AG !deadlock")``
+``check_space(space, "AG !deadlock")``       ``wb.check(name, "AG !deadlock")``
                                              / ``CheckSpec(name, prop)``
+step checks (``never(together(a, b))``,      ``wb.check(name, "AG !EX[occurs(a)
+``inevitable(e)``, ...), now CTL             & occurs(b)] true")``,
+                                             ``"!EG[!occurs(e)] true"``
 ``campaign(model, steps, watch)``            ``wb.campaign(name, steps=s,
                                              watch=[...])``
 ``analyze(app)``                             ``wb.analyze(name)``

@@ -153,7 +153,12 @@ containing *event* is acceptable here), ``deadlock``,
 ``state(label, value)`` (a constraint's local control state) and
 ``var(label.name) OP k`` (automaton variable bounds), combined with
 ``!``/``&``/``|``/``->`` and the CTL operators ``AG AF AX EG EF EX``,
-``A[p U q]``/``E[p U q]`` and the response pattern ``p leads_to q``::
+``A[p U q]``/``E[p U q]`` and the response pattern ``p leads_to q``.
+``EX[σ]``/``EG[σ]`` restrict the path to steps satisfying the step
+label ``σ`` (``occurs(e)`` there means "``e`` is in the step"), which
+makes step-level questions CTL as well: ``a`` and ``b`` never fire
+together is ``AG !EX[occurs(a) & occurs(b)] true``, and every run fires
+``e`` is ``!EG[!occurs(e)] true`` (see :mod:`repro.engine.ctl`)::
 
     from repro.workbench import Workbench
     wb = Workbench()
@@ -203,7 +208,6 @@ from repro.engine.symbolic import (
     compile_transition_system,
     symbolic_reachable,
 )
-from repro.engine import properties
 from repro.engine.campaign import format_campaign
 
 __all__ = [
@@ -219,7 +223,6 @@ __all__ = [
     "symbolic_reachable", "ReachableSet", "TransitionSystem",
     "CompiledStateView", "compile_transition_system",
     "symbolic_variable_bounds",
-    "properties",
     "check", "check_space", "parse_property", "replay_steps",
     "CheckResult", "Verdict",
 ]

@@ -205,12 +205,3 @@ def symbolic_variable_bounds(model: ExecutionModel
                 bounds[slot] = (min(low, value), max(high, value))
     return bounds
 
-
-def check_mutual_exclusion(space: StateSpace, events: list[str]) -> bool:
-    """True when no transition step contains two of *events* at once —
-    used to verify processor mutual exclusion after deployment."""
-    event_set = set(events)
-    for _u, _v, step in space.edges():
-        if len(step & event_set) > 1:
-            return False
-    return True

@@ -48,6 +48,44 @@ then the unary operators ``!``/``AG``/``AF``/``AX``/``EG``/``EF``/
 ``EX`` and the bracketed ``A[p U q]``/``E[p U q]``. Path quantifiers
 range over *maximal* runs: a run ending in a deadlock counts, so e.g.
 ``AF p`` fails when a deadlock is reachable without passing ``p``.
+
+Step labels
+===========
+
+``EX`` and ``EG`` take an optional *step label* ``σ`` that restricts
+the path to steps — the sets of events firing together — satisfying
+``σ``::
+
+    formula  ::= ... | EX[σ] formula | EG[σ] formula
+    σ        ::= occurs(e) | true | false | !σ | σ & σ | σ | σ
+               | σ -> σ | (σ)
+
+Inside ``[...]``, ``occurs(e)`` means "``e`` is in the step"; any other
+atom or operator is a :class:`~repro.errors.ParseError` with a column.
+``EX[σ] p`` holds where some σ-step leads to a ``p``-state;
+``EG[σ] p`` where some maximal run takes only σ-steps through
+``p``-states. Such a run still ends only at a real deadlock: a state
+whose every step violates ``σ`` is not the end of a run. The former
+step-predicate checks over a ``StateSpace`` map onto CTL text:
+
+=============================  ========================================
+step-predicate check           CTL text
+=============================  ========================================
+``never(together(a, b))``      ``AG !EX[occurs(a) & occurs(b)] true``
+``always(σ)``                  ``AG !EX[!σ] true``
+``eventually_reachable(σ)``    ``EF EX[σ] true``
+``inevitable(σ)``              ``!EG[!σ] true``
+``leads_to(τ, σ)``             ``AG !EX[τ] EG[!σ] true``
+shortest path to a σ-step      the counterexample of ``AG !EX[σ] true``
+=============================  ========================================
+
+Unlike those checks, the CTL forms run on either backend, answer
+three-valued on truncated spaces (``inevitable``/``leads_to`` used to
+raise), and reject ``maximal_only`` spaces like every CTL check.
+
+The counterexample of ``AG !EX[σ] q`` ends with the ``σ``-step and then
+the witness of ``q`` — for the response form, the trigger step followed
+by the run that avoids ``σ`` forever.
 """
 
 from __future__ import annotations
@@ -58,6 +96,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro import obs
+from repro.boolalg.expr import FALSE, TRUE, BExpr, Var
 from repro.engine.statespace import StateSpace
 from repro.engine.trace import Trace
 from repro.errors import EngineError, ParseError, SymbolicEncodingError
@@ -242,7 +281,9 @@ class _Unary(Prop):
     _symbol = "?"
 
     def to_text(self) -> str:
-        return f"{self._symbol} {self.operand._nested()}"
+        label = getattr(self, "step", None)
+        bracket = "" if label is None else f"[{label.to_text()}]"
+        return f"{self._symbol}{bracket} {self.operand._nested()}"
 
     def _nested(self) -> str:
         return f"({self.to_text()})"
@@ -250,7 +291,11 @@ class _Unary(Prop):
 
 @dataclass(frozen=True)
 class EX(_Unary):
+    """Some successor satisfies *operand*; with a *step* label, some
+    successor reached by a step satisfying the label."""
+
     operand: Prop
+    step: Prop | None = None
     _symbol = "EX"
 
 
@@ -262,7 +307,11 @@ class EF(_Unary):
 
 @dataclass(frozen=True)
 class EG(_Unary):
+    """Some maximal run keeps *operand*; with a *step* label, some
+    maximal run that takes only steps satisfying the label."""
+
     operand: Prop
+    step: Prop | None = None
     _symbol = "EG"
 
 
@@ -326,12 +375,16 @@ class LeadsTo(Prop):
 
 _UNARY_OPS = {"AG": AG, "AF": AF, "AX": AX, "EG": EG, "EF": EF, "EX": EX}
 _CMP_OPS = ("<=", ">=", "==", "!=", "<", ">")
+#: the only atoms a step label ``[σ]`` may use
+_STEP_ATOMS = ("occurs", "true", "false")
 
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        #: inside a step label, where only step formulas parse
+        self.in_step = False
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -454,12 +507,18 @@ def _parse_unary(s: _Scanner) -> Prop:
     if s.match("!"):
         return Not(_parse_unary(s))
     if s.match("("):
-        inner = _parse_leads(s)
+        inner = (_parse_implies if s.in_step else _parse_leads)(s)
         s.expect(")")
         return inner
     word = s.peek_word()
+    if s.in_step and word is not None and word not in _STEP_ATOMS:
+        s.fail(f"a step label allows only occurs(e), true, false, !, &, "
+               f"|, ->; found {word!r}")
     if word in _UNARY_OPS:
         s.word()
+        if word in ("EX", "EG") and s.match("["):
+            step = _parse_step_label(s)
+            return _UNARY_OPS[word](_parse_unary(s), step)
         return _UNARY_OPS[word](_parse_unary(s))
     if word in ("A", "E"):
         s.word()
@@ -471,6 +530,16 @@ def _parse_unary(s: _Scanner) -> Prop:
         s.expect("]")
         return (AU if word == "A" else EU)(left, right)
     return _parse_atom(s)
+
+
+def _parse_step_label(s: _Scanner) -> Prop:
+    """The ``σ]`` of ``EX[σ]``/``EG[σ]``: a propositional formula over
+    ``occurs(e)``, ``true`` and ``false``, read as a test on one step."""
+    s.in_step = True
+    step = _parse_implies(s)
+    s.in_step = False
+    s.expect("]")
+    return step
 
 
 def _parse_atom(s: _Scanner) -> Prop:
@@ -565,6 +634,40 @@ def _instate_note(prop: InState, known: Iterable[str]) -> str:
             f"typo; the atom was treated as never holding")
 
 
+def _step_expr(step: Prop, events: Iterable[str], model: str) -> BExpr:
+    """A step label as a boolean expression over the event variables
+    (``occurs(e)`` is the variable ``e``) — the one form both backends
+    consume: evaluated per edge explicitly, compiled to a BDD
+    symbolically."""
+    if isinstance(step, TrueProp):
+        return TRUE
+    if isinstance(step, FalseProp):
+        return FALSE
+    if isinstance(step, Occurs):
+        if step.event not in events:
+            raise EngineError(
+                f"unknown event {step.event!r} in {model!r}; known: "
+                f"{sorted(events)}")
+        return Var(step.event)
+    if isinstance(step, Not):
+        return ~_step_expr(step.operand, events, model)
+    if isinstance(step, (And, Or, Implies)):
+        left = _step_expr(step.left, events, model)
+        right = _step_expr(step.right, events, model)
+        if isinstance(step, And):
+            return left & right
+        return (left | right) if isinstance(step, Or) else (left >> right)
+    raise EngineError(
+        f"{step.to_text()!r} is not a step formula: a step label allows "
+        f"only occurs(e), true, false, !, &, |, ->")
+
+
+def _step_test(expr: BExpr):
+    """The predicate ``step -> bool`` of a :func:`_step_expr`."""
+    names = expr.support()
+    return lambda step: expr.evaluate({name: name in step for name in names})
+
+
 def _collect_notes(checker, prop: Prop) -> list[str]:
     """Notes recorded by atom evaluation anywhere inside *prop*."""
     notes: list[str] = []
@@ -618,6 +721,7 @@ class _ExplicitChecker:
         self.may_dead = frozenset(
             node for node in nodes if not self.succ[node])
         self._memo: dict[Prop, tuple[frozenset, frozenset]] = {}
+        self._labelled: dict[Prop, tuple[dict, dict]] = {}
         self._keys: dict[int, tuple] | None = None
         #: atom-evaluation notes (possible typos), keyed by atom
         self.notes: dict[Prop, str] = {}
@@ -667,17 +771,36 @@ class _ExplicitChecker:
             self._memo[prop] = cached
         return cached
 
-    def _ex(self, target_must: frozenset,
-            target_may: frozenset) -> tuple[frozenset, frozenset]:
+    def _edges(self, label: Prop | None) -> tuple[dict, dict]:
+        """``(succ, pred)`` keeping only the edges whose step satisfies
+        the step *label* (every edge when None)."""
+        if label is None:
+            return self.succ, self.pred
+        cached = self._labelled.get(label)
+        if cached is None:
+            test = _step_test(_step_expr(label, self.space.events,
+                                         self.space.name))
+            succ = {node: [edge for edge in edges if test(edge[0])]
+                    for node, edges in self.succ.items()}
+            pred: dict[int, set[int]] = {node: set() for node in succ}
+            for node, edges in succ.items():
+                for _step, successor in edges:
+                    pred[successor].add(node)
+            cached = self._labelled[label] = (succ, pred)
+        return cached
+
+    def _ex(self, target_must: frozenset, target_may: frozenset,
+            label: Prop | None) -> tuple[frozenset, frozenset]:
+        succ = self._edges(label)[0]
         must = frozenset(
             node for node in self.all_nodes
             if any(successor in target_must
-                   for _step, successor in self.succ[node]))
+                   for _step, successor in succ[node]))
         may = frozenset(
             node for node in self.all_nodes
             if node in self.frontier
             or any(successor in target_may
-                   for _step, successor in self.succ[node]))
+                   for _step, successor in succ[node]))
         return must, may
 
     def _eu(self, via: frozenset, target: frozenset,
@@ -699,15 +822,18 @@ class _ExplicitChecker:
                     queue.append(predecessor)
         return frozenset(result)
 
-    def _eg(self, hold: frozenset, dead: frozenset,
-            optimistic: bool) -> frozenset:
-        """gfp Z = hold ∧ (EX Z ∨ dead) over maximal runs; *optimistic*
-        lets frontier states continue into the unexplored region.
+    def _eg(self, hold: frozenset, dead: frozenset, optimistic: bool,
+            label: Prop | None) -> frozenset:
+        """gfp Z = hold ∧ (EX[label] Z ∨ dead) over maximal runs;
+        *optimistic* lets frontier states continue into the unexplored
+        region. Runs end only at the real deadlocks in *dead*: a state
+        whose every step violates the label is not a run's end.
 
-        Computed by out-degree stripping (the O(V+E) pattern of
-        :func:`repro.engine.properties._avoidance_traps`): repeatedly
-        drop unanchored states with no remaining successor in the set.
+        Computed in O(V+E) by out-degree stripping over the labelled
+        edges: count each state's distinct successors still in the set,
+        then repeatedly drop unanchored states whose count reaches zero.
         """
+        succ, pred = self._edges(label)
         anchored = set(dead)
         if optimistic:
             anchored |= self.frontier
@@ -715,7 +841,7 @@ class _ExplicitChecker:
         counts: dict[int, int] = {}
         queue: deque[int] = deque()
         for node in alive:
-            distinct = {successor for _step, successor in self.succ[node]
+            distinct = {successor for _step, successor in succ[node]
                         if successor in alive}
             counts[node] = len(distinct)
             if not distinct and node not in anchored:
@@ -723,7 +849,7 @@ class _ExplicitChecker:
         while queue:
             node = queue.popleft()
             alive.discard(node)
-            for predecessor in self.pred[node]:
+            for predecessor in pred[node]:
                 if predecessor in alive:
                     counts[predecessor] -= 1
                     if counts[predecessor] == 0 \
@@ -791,7 +917,7 @@ class _ExplicitChecker:
             return self.eval(Or(Not(prop.left), prop.right))
         if isinstance(prop, EX):
             must, may = self.eval(prop.operand)
-            return self._ex(must, may)
+            return self._ex(must, may, prop.step)
         if isinstance(prop, EF):
             return self.eval(EU(TrueProp(), prop.operand))
         if isinstance(prop, EU):
@@ -801,8 +927,8 @@ class _ExplicitChecker:
                     self._eu(ly, ry, optimistic=True))
         if isinstance(prop, EG):
             must, may = self.eval(prop.operand)
-            return (self._eg(must, self.must_dead, optimistic=False),
-                    self._eg(may, self.may_dead, optimistic=True))
+            return (self._eg(must, self.must_dead, False, prop.step),
+                    self._eg(may, self.may_dead, True, prop.step))
         if isinstance(prop, AX):
             return self.eval(Not(EX(Not(prop.operand))))
         if isinstance(prop, AF):
@@ -823,8 +949,8 @@ class _ExplicitChecker:
     def initial_state(self):
         return self.space.initial
 
-    def successors(self, state):
-        return self.succ[state]
+    def successors(self, state, label: Prop | None = None):
+        return self._edges(label)[0][state]
 
     def sat(self, prop: Prop):
         """Opaque sat handle for witness walks — the definite side."""
@@ -899,6 +1025,7 @@ class _SymbolicChecker:
             can_step = system.can_step_node(include_empty)
         self.dead = bdd.apply_and(reach, bdd.apply_not(can_step))
         self._memo: dict[Prop, int] = {}
+        self._labels: dict[Prop, BExpr] = {}
         #: distance-gauge onion rings still referenced by live gauge
         #: closures (witness extraction) — kept as reorder roots for the
         #: checker's lifetime so a mid-extraction reorder cannot
@@ -918,7 +1045,20 @@ class _SymbolicChecker:
         roots.extend(self._ring_pins)
         return roots
 
-    def _pre(self, node: int) -> int:
+    def _label(self, label: Prop) -> BExpr:
+        expr = self._labels.get(label)
+        if expr is None:
+            expr = self._labels[label] = _step_expr(
+                label, self.system.events, self.system.name)
+        return expr
+
+    def _pre(self, node: int, label: Prop | None = None) -> int:
+        """EX of *node*; a step *label* is conjoined, as a condition on
+        the event variables, onto the target before the preimage
+        quantifies them — so it works under either relation layout."""
+        if label is not None:
+            node = self.system.bdd.apply_and(
+                node, self.system.bdd.from_expr(self._label(label)))
         if self.relation is None:
             return self._restrict(
                 self.system.preimage(node, self.include_empty))
@@ -995,7 +1135,7 @@ class _SymbolicChecker:
         if isinstance(prop, Implies):
             return self.eval(Or(Not(prop.left), prop.right))
         if isinstance(prop, EX):
-            return self._pre(self.eval(prop.operand))
+            return self._pre(self.eval(prop.operand), prop.step)
         if isinstance(prop, EF):
             return self.eval(EU(TrueProp(), prop.operand))
         if isinstance(prop, EU):
@@ -1015,7 +1155,8 @@ class _SymbolicChecker:
             result = hold
             while True:
                 shrunk = bdd.apply_and(
-                    hold, bdd.apply_or(self._pre(result), self.dead))
+                    hold, bdd.apply_or(self._pre(result, prop.step),
+                                       self.dead))
                 if shrunk == result:
                     return result
                 result = shrunk
@@ -1040,10 +1181,13 @@ class _SymbolicChecker:
     def initial_state(self):
         return self.system.initial_ids
 
-    def successors(self, state):
+    def successors(self, state, label: Prop | None = None):
+        test = None if label is None else _step_test(self._label(label))
         edges = []
         for step in self.system.steps_at(state,
                                          include_empty=self.include_empty):
+            if test is not None and not test(step):
+                continue
             successor = self.system.successor(state, step)
             if not step and successor == state:
                 continue  # stuttering self-loop, excluded like the explorer
@@ -1129,15 +1273,15 @@ def _reach_walk(backend, via, target) -> tuple[list, object] | None:
     return steps, state
 
 
-def _lasso_from(backend, start, stay) -> list:
+def _lasso_from(backend, start, stay, label: Prop | None = None) -> list:
     """A maximal-run witness staying inside *stay*: follow the first
-    successor that remains in *stay* until a deadlock or a revisit
-    closes the lasso."""
+    successor (by a step satisfying *label*) that remains in *stay*
+    until a deadlock or a revisit closes the lasso."""
     steps: list = []
     seen = {start}
     state = start
     while not backend.is_dead(state):
-        for step, successor in backend.successors(state):
+        for step, successor in backend.successors(state, label):
             if backend.member(successor, stay):
                 steps.append(step)
                 state = successor
@@ -1194,15 +1338,22 @@ def _failure_dual(prop: Prop) -> Prop | None:
     return None
 
 
+def _ex_move(backend, state, prop: EX) -> tuple | None:
+    """The first ``(step, successor)`` out of *state* that witnesses
+    ``prop`` — a step satisfying its label into an operand state."""
+    target = backend.sat(prop.operand)
+    for step, successor in backend.successors(state, prop.step):
+        if backend.member(successor, target):
+            return step, successor
+    return None
+
+
 def _existential_witness(backend, prop: Prop) -> list | None:
     start = backend.initial_state
     everywhere = backend.sat(TrueProp())
     if isinstance(prop, EX):
-        target = backend.sat(prop.operand)
-        for step, successor in backend.successors(start):
-            if backend.member(successor, target):
-                return [step]
-        return None
+        move = _ex_move(backend, start, prop)
+        return None if move is None else [move[0]]
     if isinstance(prop, EF):
         found = _reach_walk(backend, everywhere,
                             backend.sat(prop.operand))
@@ -1218,7 +1369,7 @@ def _existential_witness(backend, prop: Prop) -> list | None:
         stay = backend.sat(prop)
         if not backend.member(start, stay):
             return None
-        return _lasso_from(backend, start, stay)
+        return _lasso_from(backend, start, stay, prop.step)
     if isinstance(prop, Or):
         left = backend.sat(prop.left)
         if backend.member(start, left):
@@ -1230,11 +1381,22 @@ def _existential_witness(backend, prop: Prop) -> list | None:
 def _eg_tail(backend, state, reached_prop: Prop) -> list:
     """Extend a reach-witness when the reached formula is itself a
     trap — ``EF (EG q)`` / the ``EF (p ∧ EG q)`` shape of a failed
-    leads_to — so the trace *shows* the run that never recovers."""
+    leads_to — so the trace *shows* the run that never recovers; and
+    when it is a step-labelled ``EX[σ] q`` (also doubly negated, as
+    the dual of ``AG !EX[σ] q``), so the trace ends with the σ-step
+    and then the witness of ``q``."""
+    if (isinstance(reached_prop, Not) and isinstance(reached_prop.operand, Not)
+            and isinstance(reached_prop.operand.operand, EX)):
+        reached_prop = reached_prop.operand.operand
+    if isinstance(reached_prop, EX) and reached_prop.step is not None:
+        step, successor = _ex_move(backend, state, reached_prop)
+        return [step] + _eg_tail(backend, successor, reached_prop.operand)
     if isinstance(reached_prop, EG):
-        return _lasso_from(backend, state, backend.sat(reached_prop))
+        return _lasso_from(backend, state, backend.sat(reached_prop),
+                           reached_prop.step)
     if isinstance(reached_prop, And) and isinstance(reached_prop.right, EG):
-        return _lasso_from(backend, state, backend.sat(reached_prop.right))
+        return _lasso_from(backend, state, backend.sat(reached_prop.right),
+                           reached_prop.right.step)
     return []
 
 

@@ -37,8 +37,9 @@ the telemetry below (a firing means the predictor was wrong — a bug).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+
+from repro import obs
 
 _INF = float("inf")
 
@@ -50,38 +51,26 @@ _WIDEN_ROUNDS = 16
 # telemetry
 # ---------------------------------------------------------------------------
 
-_telemetry_lock = threading.Lock()
+#: the predictor's counters, kept as ``encodability.<key>`` on the
+#: process-global :data:`repro.obs.GLOBAL` registry
 _TELEMETRY_KEYS = (
     "predicted_encodable",
     "predicted_unencodable",
     "closure_fallbacks",
     "safety_net_raises",
 )
-_telemetry = dict.fromkeys(_TELEMETRY_KEYS, 0)
-
-
-def _count(name: str, amount: int = 1) -> None:
-    with _telemetry_lock:
-        _telemetry[name] += amount
 
 
 def record_safety_net() -> None:
     """Count a :class:`SymbolicEncodingError` that escaped past an
     ``encodable`` prediction — the predictor-was-wrong counter."""
-    _count("safety_net_raises")
+    obs.count("encodability.safety_net_raises")
 
 
 def telemetry_snapshot() -> dict:
-    with _telemetry_lock:
-        return dict(_telemetry)
-
-
-def telemetry_reset() -> dict:
-    with _telemetry_lock:
-        snapshot = dict(_telemetry)
-        for key in _TELEMETRY_KEYS:
-            _telemetry[key] = 0
-    return snapshot
+    """The four predictor counters, read from :data:`repro.obs.GLOBAL`."""
+    return {key: obs.GLOBAL.counter(f"encodability.{key}")
+            for key in _TELEMETRY_KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +425,7 @@ def classify_constraint(runtime, max_local_states: int,
     # inconclusive (or finite-but-large): decide exactly with the
     # engine's own bounded local closure — per-constraint, capped,
     # still no global product exploration
-    _count("closure_fallbacks")
+    obs.count("encodability.closure_fallbacks")
     try:
         space = _close_local(0, runtime, max_local_states)
     except SymbolicEncodingError as exc:
@@ -471,8 +460,8 @@ def predict(model, max_local_states: int | None = None,
     ]
     report = EncodabilityReport(
         encodable=all(v.encodable for v in verdicts), verdicts=verdicts)
-    _count("predicted_encodable" if report.encodable
-           else "predicted_unencodable")
+    obs.count("encodability.predicted_encodable" if report.encodable
+              else "encodability.predicted_unencodable")
     return report
 
 

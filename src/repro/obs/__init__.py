@@ -52,7 +52,9 @@ Counter-naming convention (process-global :data:`GLOBAL` registry):
 ``symbolic.images``/``symbolic.preimages``/``symbolic.compiles``,
 ``bdd.reorders``/``bdd.reorder_skips``, ``sat.decisions``/
 ``sat.propagations``, ``store.hits``/``store.misses``,
-``explore.spaces``, ``model.loads``. The serve subsystem seeds its own
+``explore.spaces``, ``model.loads``, and the encodability predictor's
+``encodability.predicted_encodable``/``predicted_unencodable``/
+``closure_fallbacks``/``safety_net_raises``. The serve subsystem seeds its own
 request/run/cache counters on a per-server registry
 (:class:`repro.serve.metrics.Metrics`, a subclass).
 """

@@ -21,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.deployment.weaver import deploy
-from repro.engine import AsapPolicy, explore, simulate_model
+from repro.engine import (
+    AsapPolicy,
+    Verdict,
+    check_space,
+    explore,
+    simulate_model,
+)
 from repro.engine.analysis import max_cycle_mean_throughput
 from repro.pam.application import build_pam_application
 from repro.pam.platforms import (
@@ -44,7 +50,9 @@ class DeploymentRow:
     states: int
     transitions: int
     truncated: bool
-    deadlock_free: bool
+    #: ``AG !deadlock`` on the explored space; None when a truncated
+    #: search can neither prove nor refute it
+    deadlock_free: bool | None
     #: peak number of *agents firing in the same step* anywhere in the
     #: scheduling state space — the paper's "actual parallelism"
     max_concurrent_firings: int
@@ -114,6 +122,8 @@ def study_configuration(name: str, capacity: int = 1,
     peak_firings = max(
         (concurrent_firings(step) for step in space.distinct_steps()),
         default=0)
+    deadlock_free = check_space(space, "AG !deadlock",
+                                witness=False).verdict
 
     simulation = simulate_model(execution_model.clone(), AsapPolicy(),
                                 sim_steps)
@@ -123,7 +133,8 @@ def study_configuration(name: str, capacity: int = 1,
         states=space.n_states,
         transitions=space.n_transitions,
         truncated=space.truncated,
-        deadlock_free=space.is_deadlock_free(),
+        deadlock_free=None if deadlock_free is Verdict.UNKNOWN
+        else bool(deadlock_free),
         max_concurrent_firings=peak_firings,
         max_parallelism=space.max_parallelism(),
         mean_branching=round(space.mean_branching(), 3),
@@ -141,6 +152,9 @@ def run_deployment_study(capacity: int = 1, max_states: int = 60_000,
             for name in CONFIGURATIONS]
 
 
+_YES_NO = {True: "yes", False: "NO", None: "?"}
+
+
 def format_study(rows: list[DeploymentRow]) -> str:
     """Render the study as the table the benchmarks print."""
     header = (f"{'deployment':<10} {'states':>7} {'trans':>7} {'dlf':>4} "
@@ -150,7 +164,7 @@ def format_study(rows: list[DeploymentRow]) -> str:
     for row in rows:
         lines.append(
             f"{row.deployment:<10} {row.states:>7} {row.transitions:>7} "
-            f"{'yes' if row.deadlock_free else 'NO':>4} "
+            f"{_YES_NO[row.deadlock_free]:>4} "
             f"{row.max_concurrent_firings:>6} "
             f"{row.max_parallelism:>6} {row.logger_throughput:>9.4f} "
             f"{row.asap_logger_throughput:>9.4f} "

@@ -1,10 +1,11 @@
 """Integration tests for the deployment weaver."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.deployment import Allocation, Platform, deploy
-from repro.engine import AsapPolicy, explore, simulate_model
-from repro.engine.analysis import check_mutual_exclusion
+from repro.engine import AsapPolicy, check, explore, simulate_model
 from repro.errors import DeploymentError
 from repro.sdf import SdfBuilder
 
@@ -19,6 +20,13 @@ def pipeline(cycles=(0, 0, 0), capacity=2):
     return builder.build()
 
 
+def mutually_exclusive(model, events, strategy):
+    """No step fires two of *events* at once, as one CTL check."""
+    pairs = " | ".join(f"(occurs({x}) & occurs({y}))"
+                       for x, y in combinations(events, 2))
+    return check(model, f"AG !EX[{pairs}] true", strategy=strategy).verdict
+
+
 def mono_platform():
     platform = Platform("mono")
     platform.processor("cpu")
@@ -31,16 +39,18 @@ class TestDeploy:
         allocation = Allocation({"a0": "cpu", "a1": "cpu", "a2": "cpu"})
         result = deploy(model, app, mono_platform(), allocation)
         assert "cpu" in result.mutexes
-        space = explore(result.execution_model)
         starts = [f"a{i}.start" for i in range(3)]
-        assert check_mutual_exclusion(space, starts)
+        for strategy in ("explicit", "symbolic"):
+            assert mutually_exclusive(result.execution_model, starts,
+                                      strategy)
 
     def test_infinite_resources_allow_parallel_firings(self):
         model, app = pipeline()
         from repro.sdf import weave_sdf
-        space = explore(weave_sdf(model).execution_model)
         starts = [f"a{i}.start" for i in range(3)]
-        assert not check_mutual_exclusion(space, starts)
+        for strategy in ("explicit", "symbolic"):
+            assert not mutually_exclusive(weave_sdf(model).execution_model,
+                                          starts, strategy)
 
     def test_mono_reduces_statespace_transitions(self):
         model, app = pipeline()

@@ -12,6 +12,8 @@ from repro.engine.ctl import (
     And,
     CheckResult,
     Deadlock,
+    EG,
+    EX,
     Implies,
     InState,
     LeadsTo,
@@ -68,6 +70,13 @@ class TestParser:
         "state(Alternates(a, b), 1)",
         "state(X, Idle) leads_to state(X, Busy)",
         "AG (AF occurs(a) & EF (occurs(b) | deadlock))",
+        "EX[occurs(a) & occurs(b)] true",
+        "AG !EX[occurs(a) & occurs(b)] true",
+        "!EG[!occurs(b)] true",
+        "AG !EX[occurs(a)] EG[!occurs(b)] true",
+        "EF EX[(occurs(a) | false) -> !occurs(b.start)] true",
+        "EX[true] EG[occurs(a) -> occurs(b) -> occurs(c)] occurs(a)",
+        "EG[!(occurs(a) & occurs(b))] (EX[occurs(c)] deadlock)",
     ]
 
     @pytest.mark.parametrize("text", ROUND_TRIPS)
@@ -106,6 +115,28 @@ class TestParser:
     def test_syntax_errors(self, bad):
         with pytest.raises(ParseError):
             parse_property(bad)
+
+    def test_step_label_shape(self):
+        assert parse_property("AG !EX[occurs(a) & occurs(b)] true") == AG(
+            Not(EX(TrueProp(), And(Occurs("a"), Occurs("b")))))
+        assert parse_property("EG [ !occurs(b) ] true") == EG(
+            TrueProp(), Not(Occurs("b")))
+        assert parse_property("EX true") == EX(TrueProp())
+
+    @pytest.mark.parametrize("bad, column", [
+        ("EX[deadlock] true", 4),
+        ("EG[AG occurs(a)] true", 4),
+        ("EX[state(x, y)] true", 4),
+        ("EX[occurs(a) & var(x.y) <= 1] true", 16),
+        ("EX[EX[occurs(a)] true] true", 4),
+        ("EX[(occurs(a) leads_to occurs(b))] true", 15),
+        ("EX[occurs(a) true", 14),
+        ("AF[occurs(a)] true", 3),
+    ])
+    def test_step_label_errors_carry_a_column(self, bad, column):
+        with pytest.raises(ParseError) as caught:
+            parse_property(bad)
+        assert caught.value.column == column
 
     def test_nested_parens_in_labels(self):
         prop = parse_property("state(Alternates(a, b), 0)")

@@ -7,11 +7,15 @@ from repro.engine.ctl import check
 from repro.engine.encodability import (
     is_encodable,
     predict,
-    telemetry_reset,
     telemetry_snapshot,
 )
 from repro.errors import SymbolicEncodingError
 from repro.workbench import CcslSpec, load
+
+
+def telemetry_delta(before):
+    after = telemetry_snapshot()
+    return {key: after[key] - before[key] for key in after}
 
 
 def ccsl_model(name, events, constraints):
@@ -62,19 +66,19 @@ class TestAutoRouting:
     blind; the SymbolicEncodingError handler stays as a safety net."""
 
     def test_explore_auto_skips_doomed_compile(self, unbounded):
-        telemetry_reset()
+        before = telemetry_snapshot()
         space = explore(unbounded, strategy="auto", max_states=50)
         assert space.truncated
-        snapshot = telemetry_snapshot()
-        assert snapshot["predicted_unencodable"] == 1
-        assert snapshot["safety_net_raises"] == 0
+        delta = telemetry_delta(before)
+        assert delta["predicted_unencodable"] == 1
+        assert delta["safety_net_raises"] == 0
 
     def test_check_auto_routes_to_explicit(self, unbounded):
-        telemetry_reset()
+        before = telemetry_snapshot()
         result = check(unbounded, "EF occurs(e1)", strategy="auto",
                        max_states=50)
         assert result.verdict.name == "HOLDS"
-        assert telemetry_snapshot()["safety_net_raises"] == 0
+        assert telemetry_delta(before)["safety_net_raises"] == 0
 
     def test_symbolic_strategy_still_raises(self, unbounded):
         with pytest.raises(SymbolicEncodingError):
@@ -84,12 +88,20 @@ class TestAutoRouting:
                                                 monkeypatch):
         import repro.engine.encodability as encodability
 
-        telemetry_reset()
+        before = telemetry_snapshot()
         monkeypatch.setattr(encodability, "is_encodable",
                             lambda model: True)  # predictor lies
         space = explore(unbounded, strategy="auto", max_states=50)
         assert space.truncated  # explicit fallback still explored
-        assert telemetry_snapshot()["safety_net_raises"] == 1
+        assert telemetry_delta(before)["safety_net_raises"] == 1
+
+    def test_counters_live_on_the_global_registry(self, unbounded):
+        from repro import obs
+        before = obs.GLOBAL.counter("encodability.predicted_unencodable")
+        assert not is_encodable(unbounded)
+        assert obs.GLOBAL.counter(
+            "encodability.predicted_unencodable") == before + 1
+        assert telemetry_snapshot()["predicted_unencodable"] == before + 1
 
 
 class TestServeAdmission:

@@ -10,11 +10,13 @@ from repro.engine import (
     PriorityPolicy,
     RandomPolicy,
     Trace,
+    Verdict,
+    check,
     explore,
     max_cycle_mean_throughput,
     simulate_model,
 )
-from repro.engine.analysis import check_mutual_exclusion, variable_bounds
+from repro.engine.analysis import variable_bounds
 from repro.engine.policies import CallbackPolicy
 from repro.errors import DeadlockError
 from repro.moccml.semantics import AutomatonRuntime
@@ -203,11 +205,14 @@ class TestAnalysis:
         assert max_cycle_mean_throughput(space, "a") == 0.0
 
     def test_mutual_exclusion_check(self):
+        exclusive = "AG !EX[occurs(a) & occurs(b)] true"
         model = ExecutionModel(["a", "b"], [AlternatesRuntime("a", "b")])
-        space = explore(model)
-        assert check_mutual_exclusion(space, ["a", "b"])
-        free = explore(ExecutionModel(["a", "b"]))
-        assert not check_mutual_exclusion(free, ["a", "b"])
+        free = ExecutionModel(["a", "b"])
+        for strategy in ("explicit", "symbolic"):
+            assert check(model, exclusive, strategy=strategy).verdict \
+                is Verdict.HOLDS
+            assert check(free, exclusive, strategy=strategy).verdict \
+                is Verdict.FAILS
 
     def test_variable_bounds_from_space(self):
         model = place_model(capacity=3)

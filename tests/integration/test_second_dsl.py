@@ -13,8 +13,13 @@ import pytest
 
 from repro.ccsl.library import kernel_library
 from repro.ecl import parse_ecl, weave
-from repro.engine import AsapPolicy, RandomPolicy, explore, simulate_model
-from repro.engine.properties import never, occurs, together
+from repro.engine import (
+    AsapPolicy,
+    RandomPolicy,
+    check_space,
+    explore,
+    simulate_model,
+)
 from repro.kernel import MetamodelBuilder, Model
 from repro.moccml.library import LibraryRegistry
 from repro.moccml.text import parse_library
@@ -107,7 +112,9 @@ class TestSafety:
         assert not space.truncated
         assert space.is_deadlock_free()
         # no step turns both green simultaneously
-        assert never(space, together("ns.turnGreen", "ew.turnGreen"))
+        assert check_space(
+            space, "AG !EX[occurs(ns.turnGreen) & occurs(ew.turnGreen)] true"
+        ).verdict
         # stronger: from any state where ns is green, ew cannot turn
         # green before ns turns red — encoded in the automaton, checked
         # by the absence of any interleaving violating it:
@@ -116,9 +123,9 @@ class TestSafety:
 
     def test_both_directions_live(self, woven):
         space = explore(woven.execution_model.clone())
-        from repro.engine.properties import eventually_reachable
-        assert eventually_reachable(space, occurs("ns.turnGreen"))
-        assert eventually_reachable(space, occurs("ew.turnGreen"))
+        for light in ("ns", "ew"):
+            assert check_space(
+                space, f"EF EX[occurs({light}.turnGreen)] true").verdict
 
     def test_handover_needs_clearance_step(self, woven):
         # after ns turns red, ew may turn green only in a later step

@@ -100,6 +100,20 @@ class TestStudySmoke:
         table = format_study([row])
         assert "mono" in table
 
+    def test_truncated_study_does_not_claim_deadlock_freedom(self):
+        row = study_configuration("quad", max_states=50, sim_steps=10)
+        assert row.truncated
+        assert row.deadlock_free is None
+        assert row.as_dict()["deadlock_free"] is None
+        quad_line = format_study([row]).splitlines()[2]
+        assert quad_line.split()[3] == "?"
+
+    def test_complete_study_proves_deadlock_freedom(self):
+        row = study_configuration("mono", sim_steps=10)
+        assert not row.truncated
+        assert row.deadlock_free is True
+        assert format_study([row]).splitlines()[2].split()[3] == "yes"
+
     def test_dual_between_mono_and_infinite(self):
         mono = study_configuration("mono", max_states=3000, sim_steps=60)
         dual = study_configuration("dual", max_states=3000, sim_steps=60)
