@@ -42,13 +42,14 @@ compiled-node tuple, and re-conjoining after a partial change redoes
 work only from the first dirty node (pairwise ANDs are memoized in the
 manager).
 
-**Snapshot/restore contract.** Alongside ``clone()``, every runtime
+**Local transition tables.** Alongside ``clone()``, every runtime
 offers a lightweight ``snapshot()``/``restore()`` pair: the snapshot is
 a plain value token (counter, state name, tuple) that stays valid
-across any number of restores. The explorer walks the whole state space
-with a *single* working model — advance, hash, restore — keeping only
-snapshot tokens in its BFS frontier; campaigns rewind one clone between
-policy runs instead of re-cloning.
+across any number of restores. A constraint's local transition table
+(:mod:`repro.engine.local`) keeps one token per local state and
+rewinds a private probe to it only on a new local transition; the
+explorer walks tuples of local state ids through those tables, and
+campaigns rewind one clone between policy runs instead of re-cloning.
 
 Choosing a strategy — exploration and property checking
 =======================================================
@@ -63,7 +64,7 @@ oracle :func:`repro.fuzz.oracle.compare` asserts both corpus-wide, and
 cost, and about what a bounded budget can soundly conclude:
 
 ``"explicit"``
-    One working model advanced and restored per edge. No setup cost and
+    Local tables filled lazily as the search goes. No setup cost and
     no encodability requirement — the right choice for small models,
     one-shot explorations, and models with (locally) unbounded counters
     such as an unbounded CCSL precedence, which cannot be finitely
@@ -77,8 +78,8 @@ cost, and about what a bounded budget can soundly conclude:
 ``"symbolic"``
     The model is first compiled to a BDD transition relation over event
     variables plus per-constraint state bits
-    (:mod:`repro.engine.symbolic`); graph construction then runs over
-    encoded states with table lookups instead of runtime mutation, and
+    (:mod:`repro.engine.symbolic`) from closed local tables; graph
+    construction then runs over the same tables, and
     the compiled system is cached on the model's kernel for reuse by
     clones. The *fixpoint* APIs never build a graph at all:
     :func:`~repro.engine.symbolic.symbolic_reachable` computes the
@@ -202,7 +203,6 @@ from repro.engine.ctl import (
     replay_steps,
 )
 from repro.engine.symbolic import (
-    CompiledStateView,
     ReachableSet,
     TransitionSystem,
     compile_transition_system,
@@ -221,7 +221,7 @@ __all__ = [
     "event_liveness", "parallelism_profile", "variable_bounds",
     "max_cycle_mean_throughput", "simulated_throughput",
     "symbolic_reachable", "ReachableSet", "TransitionSystem",
-    "CompiledStateView", "compile_transition_system",
+    "compile_transition_system",
     "symbolic_variable_bounds",
     "check", "check_space", "parse_property", "replay_steps",
     "CheckResult", "Verdict",

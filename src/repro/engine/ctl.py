@@ -1067,15 +1067,6 @@ class _SymbolicChecker:
     def _restrict(self, node: int) -> int:
         return self.system.bdd.apply_and(self.universe, node)
 
-    def _space_for(self, label: str):
-        for space in self.system.spaces:
-            if space.label == label:
-                return space
-        raise EngineError(
-            f"no constraint labelled {label!r} in "
-            f"{self.system.name!r}; known: "
-            f"{sorted(space.label for space in self.system.spaces)}")
-
     def eval(self, prop: Prop) -> int:
         cached = self._memo.get(prop)
         if cached is None:
@@ -1101,20 +1092,20 @@ class _SymbolicChecker:
         if isinstance(prop, Deadlock):
             return self.dead
         if isinstance(prop, InState):
-            space = self._space_for(prop.constraint)
-            ids = [local_id for local_id, key in enumerate(space.keys)
+            table = self.system.table(prop.constraint)
+            ids = [local_id for local_id, key in enumerate(table.keys)
                    if _key_matches(key, prop.value)]
             if not ids:
                 self.notes[prop] = _instate_note(
-                    prop, (_key_value_text(key) for key in space.keys))
+                    prop, (_key_value_text(key) for key in table.keys))
             return self._restrict(
-                self.system.local_states_node(space.index, ids))
+                self.system.local_states_node(table.index, ids))
         if isinstance(prop, VarCmp):
             label, name = _split_variable(prop.variable)
-            space = self._space_for(label)
+            table = self.system.table(label)
             ids = []
             known = False
-            for local_id, key in enumerate(space.keys):
+            for local_id, key in enumerate(table.keys):
                 value = _key_variable(key, name)
                 if value is None:
                     continue
@@ -1125,7 +1116,7 @@ class _SymbolicChecker:
                 raise EngineError(
                     f"constraint {label!r} has no variable {name!r}")
             return self._restrict(
-                self.system.local_states_node(space.index, ids))
+                self.system.local_states_node(table.index, ids))
         if isinstance(prop, Not):
             return self._restrict(bdd.apply_not(self.eval(prop.operand)))
         if isinstance(prop, And):
@@ -1179,16 +1170,16 @@ class _SymbolicChecker:
 
     @property
     def initial_state(self):
-        return self.system.initial_ids
+        return self.system.view.initial
 
     def successors(self, state, label: Prop | None = None):
         test = None if label is None else _step_test(self._label(label))
+        view = self.system.view
         edges = []
-        for step in self.system.steps_at(state,
-                                         include_empty=self.include_empty):
+        for step in view.steps(state, self.include_empty):
             if test is not None and not test(step):
                 continue
-            successor = self.system.successor(state, step)
+            successor = view.successor(state, step)
             if not step and successor == state:
                 continue  # stuttering self-loop, excluded like the explorer
             edges.append((step, successor))

@@ -3,7 +3,7 @@
 The symbolic engine rejects a model with :class:`SymbolicEncodingError`
 when any constraint's *local* state machine cannot be closed into a
 finite table: the alphabet is wider than
-:data:`~repro.engine.symbolic.MAX_ALPHABET`, or the per-constraint
+:data:`~repro.engine.local.MAX_ALPHABET`, or the per-constraint
 closure exceeds the local-state bound (a locally unbounded counter,
 e.g. an unbounded ``Precedes``). Historically that was only discovered
 *inside* compilation — ``strategy="auto"``, ``repro serve`` admission
@@ -397,7 +397,7 @@ def _static_bound(runtime) -> int | None:
 def classify_constraint(runtime, max_local_states: int,
                         max_alphabet: int) -> ConstraintVerdict:
     """Predict whether one constraint runtime closes finitely."""
-    from repro.engine.symbolic import _close_local
+    from repro.engine.local import LocalTable
     from repro.errors import SymbolicEncodingError
     from repro.moccml.semantics.automata_rt import AutomatonRuntime
 
@@ -427,15 +427,15 @@ def classify_constraint(runtime, max_local_states: int,
     # still no global product exploration
     obs.count("encodability.closure_fallbacks")
     try:
-        space = _close_local(0, runtime, max_local_states)
+        table = LocalTable(0, runtime).close(max_local_states)
     except SymbolicEncodingError as exc:
         return ConstraintVerdict(
             label=label, encodable=False, method="closure",
             reason=str(exc))
     return ConstraintVerdict(
         label=label, encodable=True, method="closure",
-        bound=len(space.keys),
-        reason=f"local closure has {len(space.keys)} state(s)")
+        bound=table.n_states,
+        reason=f"local closure has {table.n_states} state(s)")
 
 
 def predict(model, max_local_states: int | None = None,
@@ -444,11 +444,12 @@ def predict(model, max_local_states: int | None = None,
 
     The parameters default to the engine's compilation limits
     (:data:`~repro.engine.symbolic.DEFAULT_MAX_LOCAL_STATES`,
-    :data:`~repro.engine.symbolic.MAX_ALPHABET`), so a default
+    :data:`~repro.engine.local.MAX_ALPHABET`), so a default
     ``predict`` agrees with a default
     :func:`~repro.engine.symbolic.compile_transition_system`.
     """
-    from repro.engine.symbolic import DEFAULT_MAX_LOCAL_STATES, MAX_ALPHABET
+    from repro.engine.local import MAX_ALPHABET
+    from repro.engine.symbolic import DEFAULT_MAX_LOCAL_STATES
 
     if max_local_states is None:
         max_local_states = DEFAULT_MAX_LOCAL_STATES

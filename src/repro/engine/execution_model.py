@@ -139,6 +139,28 @@ class SymbolicKernel:
             self._conj_cache.put(nodes, cached)
         return cached
 
+    def steps(self, node: int,
+              include_empty: bool = False) -> tuple[frozenset[str], ...]:
+        """The steps satisfying conjunction *node*, ordered by size,
+        then by sorted event names; the empty step only with
+        *include_empty* (memoized per node)."""
+        key = (node, include_empty)
+        steps = self._steps_cache.get(key)
+        if steps is None:
+            self.stats["steps_misses"] += 1
+            collected = []
+            for model in self.bdd.iter_models(node, self.events):
+                step = frozenset(name for name, value in model.items()
+                                 if value)
+                if step or include_empty:
+                    collected.append(step)
+            collected.sort(key=lambda s: (len(s), sorted(s)))
+            steps = tuple(collected)
+            self._steps_cache.put(key, steps)
+        else:
+            self.stats["steps_hits"] += 1
+        return steps
+
     def transition_system(self, model: "ExecutionModel",
                           max_local_states: int | None = None,
                           relation_mode: str | None = None,
@@ -311,24 +333,7 @@ class ExecutionModel:
         Returns a deterministically ordered list of event sets; the empty
         step (nothing occurs) is omitted unless *include_empty*.
         """
-        kernel = self.kernel
-        node = self._step_node()
-        key = (node, include_empty)
-        steps = kernel._steps_cache.get(key)
-        if steps is None:
-            kernel.stats["steps_misses"] += 1
-            collected = []
-            for model in kernel.bdd.iter_models(node, self.events):
-                step = frozenset(name for name, value in model.items()
-                                 if value)
-                if step or include_empty:
-                    collected.append(step)
-            collected.sort(key=lambda s: (len(s), sorted(s)))
-            steps = tuple(collected)
-            kernel._steps_cache.put(key, steps)
-        else:
-            kernel.stats["steps_hits"] += 1
-        return list(steps)
+        return list(self.kernel.steps(self._step_node(), include_empty))
 
     def count_acceptable_steps(self, include_empty: bool = True) -> int:
         """Number of acceptable steps without enumerating them."""

@@ -8,17 +8,16 @@ order, and whose transitions are steps, grouped per source by
 successor in first-reached order. This implements the paper's
 "exhaustive exploration" usage of the generic engine.
 
-Two strategies drive the same breadth-first skeleton:
+Two strategies drive the same breadth-first skeleton over tuples of
+local state ids (a :class:`~repro.engine.local.LocalView`):
 
-* ``"explicit"`` — a single working model is advanced and restored edge
-  by edge, keeping only lightweight
-  :meth:`~repro.engine.execution_model.ExecutionModel.snapshot` tokens
-  in the frontier (PR 1's scheme);
+* ``"explicit"`` — fresh per-constraint tables, filled lazily: a
+  runtime advances only on a local transition not seen before, and a
+  locally unbounded counter just grows up to the ``max_states`` budget;
 * ``"symbolic"`` — the model is first compiled to a BDD transition
-  system (:mod:`repro.engine.symbolic`); the BFS then runs over encoded
-  states with table lookups, never touching a constraint runtime, and
-  the full reachable set is also available by fixpoint iteration
-  without building any graph at all.
+  system (:mod:`repro.engine.symbolic`), which closes the tables; the
+  BFS then walks the closed tables, and the full reachable set is
+  also available by fixpoint iteration without building any graph.
 
 ``"auto"`` picks symbolic for models past a size threshold and falls
 back to explicit when the model cannot be finitely encoded. Both
@@ -34,6 +33,7 @@ from collections import deque
 
 from repro import obs
 from repro.engine.execution_model import ExecutionModel
+from repro.engine.local import LocalTable, LocalView
 from repro.engine.statespace import StateSpace
 from repro.errors import EngineError, ExplorationLimitError, \
     SymbolicEncodingError
@@ -57,7 +57,8 @@ def explore(model: ExecutionModel, max_states: int = 10_000,
     Parameters
     ----------
     model:
-        The execution model to explore; it is cloned, never mutated.
+        The execution model to explore; never mutated (each local
+        table steps a clone of its runtime).
     max_states:
         State budget; hitting it marks the result as truncated (or
         raises with *strict*). Systems with unbounded counters —
@@ -96,110 +97,110 @@ def explore(model: ExecutionModel, max_states: int = 10_000,
 
 def _working_view(model: ExecutionModel, strategy: str,
                   relation_mode: str | None = None,
-                  cluster_cap: int | None = None):
-    """The BFS driver for *strategy*: a model clone, or a compiled view."""
+                  cluster_cap: int | None = None) -> LocalView:
+    """The BFS driver for *strategy*: a view over fresh lazy tables, or
+    over a compiled system's closed ones."""
     if strategy not in STRATEGIES:
         raise EngineError(
             f"unknown exploration strategy {strategy!r}; expected one of "
             f"{', '.join(STRATEGIES)}")
     if strategy == "explicit":
-        return model.clone()
+        return _lazy_view(model)
     if strategy == "auto" and len(model.events) < AUTO_EVENT_THRESHOLD:
-        return model.clone()
-    from repro.engine.symbolic import CompiledStateView
+        return _lazy_view(model)
     if strategy == "auto":
         # route through the static predictor instead of compiling just
         # to catch SymbolicEncodingError (the except below stays as the
         # safety net for predictor misses)
         from repro.engine.encodability import is_encodable
         if not is_encodable(model):
-            return model.clone()  # predicted not finitely encodable
+            return _lazy_view(model)  # predicted not finitely encodable
     try:
-        return CompiledStateView(model.kernel.transition_system(
-            model, relation_mode=relation_mode, cluster_cap=cluster_cap))
+        return model.kernel.transition_system(
+            model, relation_mode=relation_mode, cluster_cap=cluster_cap).view
     except SymbolicEncodingError:
         if strategy == "symbolic":
             raise
         from repro.engine.encodability import record_safety_net
         record_safety_net()
-        return model.clone()  # predictor miss: not finitely encodable
+        return _lazy_view(model)  # predictor miss: not finitely encodable
 
 
-def _bfs(work, name: str, events: list[str], max_states: int,
+def _lazy_view(model: ExecutionModel) -> LocalView:
+    """Fresh tables for one exploration: a table's probe is mutable, so
+    tables are never cached on the kernel that every clone shares."""
+    return LocalView([LocalTable(index, constraint)
+                      for index, constraint in enumerate(model.constraints)],
+                     model.kernel)
+
+
+def _bfs(view: LocalView, name: str, events: list[str], max_states: int,
          max_depth: int | None, include_empty: bool, strict: bool,
          maximal_only: bool) -> StateSpace:
-    """The strategy-independent BFS skeleton.
+    """The strategy-independent BFS skeleton over *view*'s id tuples.
 
-    *work* is anything implementing the working-model protocol:
-    ``configuration``/``snapshot``/``restore``/``acceptable_steps``/
-    ``advance``/``is_accepting`` — an :class:`ExecutionModel` clone for
-    the explicit strategy, a
-    :class:`~repro.engine.symbolic.CompiledStateView` for the symbolic
-    one. Admission order, truncation and frontier marking are therefore
-    identical across strategies by construction.
+    Admission order, truncation and frontier marking are therefore
+    identical across strategies by construction; only the tables
+    behind the view differ (lazy for explicit, closed for symbolic).
     """
     obs.count("explore.spaces")
     space = StateSpace(initial=0, events=events, name=name,
                        maximal_only=maximal_only)
-    root_key = work.configuration()
-
-    key_to_id: dict = {root_key: 0}
-    space.add_state(work.is_accepting(), 0, root_key)
-    #: BFS frontier of (snapshot token, configuration key, node id, depth)
-    frontier: deque = deque([(work.snapshot(), root_key, 0, 0)])
+    before = view.advances
     with obs.span("explore.bfs", model=name) as trace:
         space.truncated = _bfs_loop(
-            work, space, key_to_id, frontier, name, max_states=max_states,
-            max_depth=max_depth, include_empty=include_empty, strict=strict,
+            view, space, name, max_states=max_states, max_depth=max_depth,
+            include_empty=include_empty, strict=strict,
             maximal_only=maximal_only)
+        advances = view.advances - before
         trace.set(states=space.n_states, transitions=space.n_transitions,
-                  truncated=space.truncated)
+                  truncated=space.truncated, local_states=view.n_states,
+                  local_advances=advances)
+    obs.count("explore.local_advances", advances)
     return space
 
 
-def _bfs_loop(work, space: StateSpace, key_to_id: dict, frontier: deque,
-              name: str, max_states: int, max_depth: int | None,
-              include_empty: bool, strict: bool, maximal_only: bool) -> bool:
+def _bfs_loop(view: LocalView, space: StateSpace, name: str,
+              max_states: int, max_depth: int | None, include_empty: bool,
+              strict: bool, maximal_only: bool) -> bool:
     """The admission loop of :func:`_bfs`, factored out so the whole
     walk sits under one ``explore.bfs`` span; returns the truncation
     flag."""
+    root = view.initial
+    state_ids: dict[tuple[int, ...], int] = {root: 0}
+    space.add_state(view.is_accepting(root), 0, view.key(root))
+    #: BFS frontier of (id tuple, node id, depth)
+    frontier: deque = deque([(root, 0, 0)])
     truncated = False
 
     while frontier:
-        snapshot, current_key, node_id, depth = frontier.popleft()
+        ids, node_id, depth = frontier.popleft()
         if max_depth is not None and depth >= max_depth:
             space.frontier.add(node_id)
             truncated = True
             continue
-        work.restore(snapshot)
-        steps = work.acceptable_steps(include_empty=include_empty)
+        steps = view.steps(ids, include_empty)
         if maximal_only:
             steps = _maximal_steps(steps)
         for step in steps:
-            work.advance(step, check=False)
-            succ_key = work.configuration()
-            if not step and succ_key == current_key:
-                work.restore(snapshot)
+            succ = view.successor(ids, step)
+            if not step and succ == ids:
                 continue  # stuttering self-loop carries no information
-            if succ_key in key_to_id:
-                succ_id = key_to_id[succ_key]
-            else:
-                if len(key_to_id) >= max_states:
+            succ_id = state_ids.get(succ)
+            if succ_id is None:
+                if len(state_ids) >= max_states:
                     if strict:
                         raise ExplorationLimitError(
                             f"exploration of {name!r} exceeded "
                             f"{max_states} states")
                     truncated = True
                     space.frontier.add(node_id)
-                    work.restore(snapshot)
                     continue
-                succ_id = space.add_state(work.is_accepting(), depth + 1,
-                                          succ_key)
-                key_to_id[succ_key] = succ_id
-                frontier.append((work.snapshot(), succ_key, succ_id,
-                                 depth + 1))
+                succ_id = space.add_state(view.is_accepting(succ), depth + 1,
+                                          view.key(succ))
+                state_ids[succ] = succ_id
+                frontier.append((succ, succ_id, depth + 1))
             space.add_edge(node_id, succ_id, step)
-            work.restore(snapshot)
 
     return truncated
 

@@ -500,9 +500,10 @@ def _check_static(case: FuzzCase, handle, outcome: CaseOutcome) -> bool:
     Generated models are lint-clean by construction, so any
     ERROR-severity finding is a ``static`` oracle failure (either a
     generator regression or an analyzer false positive — both are
-    bugs). Returns the encodability predictor's verdict; the caller
-    diffs it against what the symbolic engine actually did."""
-    from repro.engine.encodability import is_encodable
+    bugs). Returns the encodability predictor's verdict, read off the
+    report (``ENC001`` fires iff the predictor says unencodable, and a
+    second prediction would redo its local closures); the caller diffs
+    it against what the symbolic engine actually did."""
     from repro.lint import lint_handle
 
     report = lint_handle(handle)
@@ -513,4 +514,4 @@ def _check_static(case: FuzzCase, handle, outcome: CaseOutcome) -> bool:
             for diag in report.errors
         )
         outcome.failures.append(_failure(case, "static", detail))
-    return is_encodable(handle.execution_model)
+    return not any(diag.rule == "ENC001" for diag in report.diagnostics)

@@ -9,10 +9,10 @@ two-phase loop:
 2. ``advance(step)`` — once a step satisfying the global conjunction is
    chosen, update internal state (automaton state, counters).
 
-``state_key()`` must capture the internal state exactly: the exhaustive
-explorer hashes global configurations as the tuple of all runtimes'
-keys. ``clone()`` must produce an independent copy so the explorer can
-branch.
+``state_key()`` must capture the internal state exactly: the local
+transition tables of :mod:`repro.engine.local` identify states by key.
+``clone()`` must produce an independent copy: each table steps a
+private clone.
 
 Two optional refinements keep the symbolic kernel incremental:
 
@@ -24,11 +24,12 @@ Two optional refinements keep the symbolic kernel incremental:
   sound (the formula is a function of the internal state) but may
   recompile more often than strictly necessary.
 * ``snapshot()``/``restore()`` — a lightweight alternative to
-  ``clone()`` for depth-style exploration: ``snapshot()`` captures the
-  mutable state as a cheap (ideally immutable) token, ``restore()``
-  rewinds to it. A token must stay valid across multiple restores. The
-  defaults fall back to ``clone()`` semantics; stateful runtimes
-  override them with plain value tuples.
+  ``clone()``: ``snapshot()`` captures the mutable state as a cheap
+  (ideally immutable) token, ``restore()`` rewinds to it — a local
+  table keeps one token per row to step its probe from. A token must
+  stay valid across multiple restores. The defaults fall back to
+  ``clone()`` semantics; stateful runtimes override them with plain
+  value tuples.
 """
 
 from __future__ import annotations

@@ -42,8 +42,9 @@ span name                      region (attributes)
                                verdict)
 ``check.witness``              witness/counterexample extraction (kind,
                                steps)
-``explore.bfs``                explicit BFS (states, transitions,
-                               truncated)
+``explore.bfs``                the BFS over local tables (states,
+                               transitions, truncated, local_states,
+                               local_advances)
 ``bdd.reorder``                one sifting run (auto, nodes_before,
                                nodes_after, reduction)
 =============================  ============================================
@@ -52,7 +53,8 @@ Counter-naming convention (process-global :data:`GLOBAL` registry):
 ``symbolic.images``/``symbolic.preimages``/``symbolic.compiles``,
 ``bdd.reorders``/``bdd.reorder_skips``, ``sat.decisions``/
 ``sat.propagations``, ``store.hits``/``store.misses``,
-``explore.spaces``, ``model.loads``, and the encodability predictor's
+``explore.spaces``/``explore.local_advances`` (local-table misses),
+``model.loads``, and the encodability predictor's
 ``encodability.predicted_encodable``/``predicted_unencodable``/
 ``closure_fallbacks``/``safety_net_raises``. The serve subsystem seeds its own
 request/run/cache counters on a per-server registry

@@ -8,9 +8,14 @@ checked against independent machinery:
   model);
 * *completeness* — every simulated trace (any policy, any seed) stays
   inside the explored graph;
-* *determinism* — exploring twice yields the same graph.
+* *determinism* — exploring twice yields the same graph;
+* *reference walks* — seeded random walks that step live runtimes
+  through ``acceptable_steps``/``advance(check=True)`` — the runtime
+  level both engines' local tables are built from — follow only edges
+  of the explicit space.
 """
 
+import random
 from collections import deque
 
 import pytest
@@ -22,7 +27,9 @@ from repro.engine import (
     explore,
     simulate_model,
 )
+from repro.pam.experiments import build_configuration
 from repro.sdf import SdfBuilder, weave_sdf
+from tests.engine.test_symbolic_equivalence import ccsl_mix, sdf_chain
 
 
 def small_model():
@@ -103,3 +110,32 @@ class TestDeterminism:
         second_edges = sorted(
             (u, v, tuple(sorted(step))) for u, v, step in second.edges())
         assert first_edges == second_edges
+
+
+class TestReferenceWalk:
+    @pytest.mark.parametrize("build", [
+        lambda: sdf_chain(3, capacity=2),
+        ccsl_mix,
+        lambda: build_configuration("dual"),  # not finitely encodable
+    ], ids=["chain", "ccsl-mix", "pam-dual"])
+    def test_random_walks_follow_explicit_edges(self, build):
+        model = build()
+        space = explore(model, max_states=3000, strategy="explicit")
+        for seed in range(5):
+            rng = random.Random(seed)
+            work = model.clone()
+            node = space.initial
+            for _ in range(60):
+                if node in space.frontier:
+                    break  # truncated: not every edge was explored
+                edges = {step: target
+                         for target, step in space.successors(node)}
+                steps = work.acceptable_steps()
+                assert set(steps) == set(edges), f"node {node}"
+                if not steps:
+                    break
+                step = rng.choice(steps)
+                work.advance(step, check=True)
+                node = edges[step]
+                assert work.configuration() == space.keys[node]
+                assert work.is_accepting() == space.accepting[node]

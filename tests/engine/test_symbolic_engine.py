@@ -1,12 +1,11 @@
-"""Unit tests of the symbolic fixpoint engine itself: local closure,
-variable-order heuristic, relation encoding, fixpoint iteration,
-BDD-level invariant checks, and kernel-level caching."""
+"""Unit tests of the symbolic fixpoint engine itself: local tables and
+their closure, variable-order heuristic, relation encoding, fixpoint
+iteration, BDD-level invariant checks, and kernel-level caching."""
 
 import pytest
 
 from repro.ccsl import AlternatesRuntime, PrecedesRuntime
 from repro.engine import (
-    CompiledStateView,
     ExecutionModel,
     check,
     explore,
@@ -14,10 +13,10 @@ from repro.engine import (
     symbolic_variable_bounds,
 )
 from repro.engine.ctl import Verdict
+from repro.engine.local import MAX_ALPHABET, LocalTable, LocalView
 from repro.engine.symbolic import (
-    MAX_ALPHABET,
+    DEFAULT_MAX_LOCAL_STATES,
     TransitionSystem,
-    _close_local,
     _constraint_order,
 )
 from repro.errors import EngineError, SymbolicEncodingError
@@ -34,28 +33,87 @@ def chain_model(length=3, capacity=2):
     return weave_sdf(model).execution_model
 
 
+def closed(runtime, max_local_states=64):
+    return LocalTable(0, runtime).close(max_local_states)
+
+
 class TestLocalClosure:
     def test_alternates_has_two_states(self):
-        space = _close_local(0, AlternatesRuntime("a", "b"), 64)
-        assert space.n_states == 2
-        assert space.alphabet == ("a", "b")
+        table = closed(AlternatesRuntime("a", "b"))
+        assert table.n_states == 2
+        assert table.alphabet == ("a", "b")
         # from the initial state only {} and {a} are acceptable
-        assert set(space.delta[0]) == {frozenset(), frozenset({"a"})}
-        assert space.delta[0][frozenset({"a"})] == 1
-        assert space.delta[0][frozenset()] == 0
+        assert set(table.delta[0]) == {frozenset(), frozenset({"a"})}
+        assert table.delta[0][frozenset({"a"})] == 1
+        assert table.delta[0][frozenset()] == 0
 
     def test_bounded_precedes_state_count(self):
-        space = _close_local(0, PrecedesRuntime("a", "b", bound=3), 64)
-        assert space.n_states == 4  # counter values 0..3
+        table = closed(PrecedesRuntime("a", "b", bound=3))
+        assert table.n_states == 4  # counter values 0..3
 
     def test_unbounded_counter_overflows(self):
         with pytest.raises(SymbolicEncodingError, match="closure bound"):
-            _close_local(0, PrecedesRuntime("a", "b"), 16)
+            closed(PrecedesRuntime("a", "b"), 16)
 
     def test_keys_match_runtime_state_keys(self):
         runtime = AlternatesRuntime("a", "b")
-        space = _close_local(0, runtime, 64)
-        assert space.keys[0] == runtime.state_key()
+        table = closed(runtime)
+        assert table.keys[0] == runtime.state_key()
+
+    def test_delta_is_filled_in_mask_order(self):
+        # local ids, symbolic encodings and ReachableSet.states() order
+        # all follow the closure's admission order
+        table = closed(PrecedesRuntime("a", "b", bound=3))
+
+        def mask(assignment):
+            return sum(1 << table.alphabet.index(event)
+                       for event in assignment)
+
+        for row in table.delta:
+            assert [mask(a) for a in row] == sorted(map(mask, row))
+
+    def test_closed_table_rejects_instead_of_growing(self):
+        table = closed(AlternatesRuntime("a", "b"))
+        with pytest.raises(EngineError, match="not acceptable"):
+            table.successor(0, frozenset({"b"}))
+        assert table.n_states == 2
+
+
+class TestLazyTable:
+    def test_open_table_advances_once_per_miss(self):
+        table = LocalTable(0, PrecedesRuntime("a", "b"))
+        assert table.n_states == 1 and table.advances == 0
+        assert table.successor(0, frozenset({"a"})) == 1
+        assert table.successor(0, frozenset({"a"})) == 1
+        assert table.advances == 1
+        assert table.successor(1, frozenset({"b"})) == 0
+        assert table.advances == 2 and table.n_states == 2
+
+    def test_view_matches_execution_model(self):
+        model = chain_model(3)
+        view = LocalView([LocalTable(index, constraint) for index, constraint
+                          in enumerate(model.constraints)], model.kernel)
+        work = model.clone()
+        assert view.key(view.initial) == work.configuration()
+        assert view.is_accepting(view.initial) == work.is_accepting()
+        assert list(view.steps(view.initial)) == work.acceptable_steps()
+        for step in work.acceptable_steps():
+            snapshot = work.snapshot()
+            work.advance(step)
+            succ = view.successor(view.initial, step)
+            assert view.key(succ) == work.configuration()
+            assert view.is_accepting(succ) == work.is_accepting()
+            work.restore(snapshot)
+
+    def test_unbounded_model_truncates_past_the_closure_bound(self):
+        # lazy tables carry no closure bound: only max_states stops them
+        model = ExecutionModel(["a", "b"], [PrecedesRuntime("a", "b")],
+                               name="unbounded")
+        space = explore(model, max_states=6000, strategy="explicit")
+        assert space.truncated
+        assert space.n_states == 6000 > DEFAULT_MAX_LOCAL_STATES
+        with pytest.raises(SymbolicEncodingError):
+            explore(model, strategy="symbolic")
 
 
 class TestConstraintOrder:
@@ -84,33 +142,33 @@ class TestTransitionSystem:
     def test_interleaved_current_primed_bits(self):
         system = TransitionSystem(chain_model(3))
         order = system.bdd.order
-        for index in range(len(system.spaces)):
+        for index in range(len(system.tables)):
             for cur, primed in zip(system.cur_names[index],
                                    system.primed_names[index]):
                 assert order.index(primed) == order.index(cur) + 1
 
     def test_steps_match_execution_model(self):
         model = chain_model(3)
-        system = TransitionSystem(model)
-        assert list(system.steps_at(system.initial_ids)) == \
+        view = TransitionSystem(model).view
+        assert list(view.steps(view.initial)) == \
             model.clone().acceptable_steps()
 
     def test_successor_matches_advance(self):
         model = chain_model(3)
-        system = TransitionSystem(model)
+        view = TransitionSystem(model).view
         work = model.clone()
         for step in work.acceptable_steps():
-            succ = system.successor(system.initial_ids, step)
+            succ = view.successor(view.initial, step)
             snapshot = work.snapshot()
             work.advance(step, check=False)
-            assert system.decode_key(succ) == work.configuration()
+            assert view.key(succ) == work.configuration()
             work.restore(snapshot)
 
     def test_unacceptable_step_raises(self):
-        system = TransitionSystem(chain_model(3))
+        view = TransitionSystem(chain_model(3)).view
         with pytest.raises(EngineError, match="not acceptable"):
-            system.successor(system.initial_ids,
-                             frozenset({"a2.start", "a2.stop"}))
+            view.successor(view.initial,
+                           frozenset({"a2.start", "a2.stop"}))
 
     def test_wide_alphabet_rejected(self):
         from repro.moccml.semantics.runtime import FormulaRuntime
@@ -148,7 +206,7 @@ class TestFixpoint:
     def test_contains_initial(self):
         model = chain_model(3)
         reachable = symbolic_reachable(model)
-        assert reachable.contains(reachable.system.initial_ids)
+        assert reachable.contains(reachable.system.view.initial)
 
     def test_to_statespace_roundtrip(self):
         model = chain_model(3)
@@ -230,16 +288,3 @@ class TestKernelCaching:
         model.kernel.transition_system(model)
         model.kernel.clear()
         assert model.kernel.cache_sizes()["transition_systems"] == 0
-
-    def test_compiled_view_protocol(self):
-        model = chain_model(3)
-        view = CompiledStateView(model.kernel.transition_system(model))
-        work = model.clone()
-        assert view.configuration() == work.configuration()
-        assert view.is_accepting() == work.is_accepting()
-        token = view.snapshot()
-        step = view.acceptable_steps()[0]
-        view.advance(step)
-        assert view.configuration() != token and view.snapshot() != token
-        view.restore(token)
-        assert view.configuration() == work.configuration()

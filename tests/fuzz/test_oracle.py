@@ -163,9 +163,9 @@ def test_defective_structure_is_a_static_failure():
 
 
 def test_lying_predictor_is_a_static_failure(monkeypatch):
-    import repro.engine.encodability as encodability
+    import repro.lint.rules_encoding as rules_encoding
 
-    real_predict = encodability.predict
+    real_predict = rules_encoding.predict
 
     def lying(model, **kwargs):
         report = real_predict(model, **kwargs)
@@ -174,7 +174,7 @@ def test_lying_predictor_is_a_static_failure(monkeypatch):
             verdict.encodable = not verdict.encodable
         return report
 
-    monkeypatch.setattr(encodability, "predict", lying)
+    monkeypatch.setattr(rules_encoding, "predict", lying)
     outcome = check_case(_simple_case())
     static = [f for f in outcome.failures if f.kind == "static"]
     assert static, [f.detail for f in outcome.failures]

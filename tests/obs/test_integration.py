@@ -53,6 +53,35 @@ class TestEngineSpans:
         assert bfs.attrs["states"] > 0
         assert bfs.attrs["truncated"] in (True, False)
 
+    def test_bfs_counts_local_table_misses(self):
+        from repro.engine import explore
+        from tests.engine.test_symbolic_equivalence import sdf_chain
+
+        model = sdf_chain(3, capacity=2)
+        alphabets = [c.constrained_events for c in model.constraints]
+        before = GLOBAL.counter("explore.local_advances")
+        with obs.capture() as tracer:
+            space = explore(model, strategy="explicit")
+        bfs = next(s for s in tracer.spans() if s.name == "explore.bfs")
+        # one runtime advance per distinct local transition, one row per
+        # distinct local state — never one per global edge
+        misses = {(index, space.keys[source][index], step & alphabet)
+                  for source, _target, step in space.edges()
+                  for index, alphabet in enumerate(alphabets)}
+        rows = {(index, key[index]) for key in space.keys
+                for index in range(len(alphabets))}
+        assert not space.truncated
+        assert bfs.attrs["local_advances"] == len(misses)
+        assert bfs.attrs["local_states"] == len(rows)
+        assert len(misses) < space.n_transitions * len(alphabets)
+        assert GLOBAL.counter("explore.local_advances") == \
+            before + len(misses)
+        with obs.capture() as tracer:
+            explore(model, strategy="symbolic")
+        bfs = next(s for s in tracer.spans() if s.name == "explore.bfs")
+        assert bfs.attrs["local_advances"] == 0  # closed tables only
+        assert bfs.attrs["local_states"] >= len(rows)
+
     def test_engine_counters_accumulate(self, tracer):
         before = {name: GLOBAL.counter(name)
                   for name in ("symbolic.compiles", "symbolic.images",
